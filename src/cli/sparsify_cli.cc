@@ -247,12 +247,12 @@ int Usage() {
          "metrics, runs=10); explicit flags override it, and --scale\n"
          "accepts per-dataset overrides (--scale=0.5,web-Google=0.2).\n"
          "A sweep with --store appends every completed (cell, metric)\n"
-         "unit to DIR/results.jsonl (one flushed JSONL record each); with\n"
-         "--resume it first replays the store and schedules only the\n"
-         "missing units — resuming with MORE metrics schedules only the\n"
-         "new metrics' cells — reproducing the uninterrupted output\n"
-         "bit-identically. `ingest` parses a SNAP edge list once, builds\n"
-         "the CSR in parallel, and (with --cache=DIR) writes a\n"
+         "unit to its own log segment in DIR, one flushed JSONL record\n"
+         "each; with --resume it first replays the store and schedules\n"
+         "only the missing units — resuming with MORE metrics schedules\n"
+         "only the new metrics' cells — reproducing the uninterrupted\n"
+         "output bit-identically. `ingest` parses a SNAP edge list\n"
+         "once, builds the CSR in parallel, and (with --cache=DIR) writes a\n"
          "content-addressed binary cache that later runs load in one bulk\n"
          "read; its dataset key is ingest-<hash>. --trace=FILE exports the\n"
          "run's spans as Chrome trace_event JSON (chrome://tracing /\n"

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -482,64 +483,17 @@ long PidSuffixOf(const std::string& name) {
   return v;
 }
 
-// Truncates the torn (unterminated or checksum-torn) tail of a dead
-// writer's segment so the file returns to whole-line form — the "sealed"
-// state. Interior corruption is left alone: sealing must never mask bit
-// rot that replay is supposed to report.
-void SealSegmentFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
-  size_t pos = 0;
-  size_t line_no = 0;
-  size_t valid = 0;
-  while (pos < content.size()) {
-    const size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn tail: cut at `valid`
-    const std::string line = content.substr(pos, nl - pos);
-    bool ok;
-    if (line_no == 0) {
-      try {
-        ok = ParseHeader(line);
-      } catch (const StoreCorruptError&) {
-        ok = false;
-      }
-    } else {
-      StoredCell cell;
-      StoredClaim claim;
-      ok = ParseLine(line, &cell, &claim) != LineKind::kBad &&
-           CheckLineCrc(line) != CrcStatus::kBad;
-    }
-    if (!ok) return;  // terminated bad line: not a torn tail, leave it
-    pos = nl + 1;
-    valid = pos;
-    ++line_no;
-  }
-  if (valid < content.size()) {
-    std::error_code ec;
-    fs::resize_file(path, valid, ec);
-  }
-}
+enum class LineStatus { kOk, kBadHeader, kBadRecord, kBadChecksum };
 
-// True when `path` holds nothing but (at most) a header line — the
-// leftover of a writer killed right after segment rotation.
-bool SegmentIsEmpty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
-  if (content.empty()) return true;
-  const size_t nl = content.find('\n');
-  if (nl == std::string::npos) return true;  // torn header only
-  if (nl + 1 != content.size()) return false;
-  try {
-    return ParseHeader(content.substr(0, nl));
-  } catch (const StoreCorruptError&) {
-    return false;
+std::string CorruptionMessage(LineStatus status, size_t line_no,
+                              const std::string& file) {
+  if (status == LineStatus::kBadHeader) {
+    return "result store: " + file + " is not a result-store log (bad header)";
   }
+  return std::string("result store: ") +
+         (status == LineStatus::kBadChecksum ? "checksum mismatch"
+                                             : "corrupt record") +
+         " at line " + std::to_string(line_no + 1) + " of " + file;
 }
 
 }  // namespace
@@ -569,26 +523,38 @@ std::string CellKey::Canonical() const {
 ResultStore::ResultStore(std::string path, ResultStoreOptions options)
     : path_(std::move(path)), options_(options) {
   const fs::path p(path_);
+  if (p.filename() != DefaultFileName()) {
+    throw std::invalid_argument(
+        "result store: " + path_ + " is not <dir>/" + DefaultFileName() +
+        " (a store is a directory; see ResultStore::PathInDir)");
+  }
   dir_ = p.has_parent_path() ? p.parent_path().string() : std::string(".");
   fsync_policy_ = FsyncPolicyFromEnv(FsyncPolicy::kBatch);
   options_.lease_ttl_seconds =
       lease::TtlFromEnv(options_.lease_ttl_seconds);
   options_.segment_bytes = SegmentBytesFromEnv(options_.segment_bytes);
   SPARSIFY_FAILPOINT("store.lock");
-  if (!options_.read_only) {
-    writer_id_ = lease::NewWriterId();
-    AcquireLease();
+  if (options_.read_only) {
+    Replay();
+    return;
+  }
+  writer_id_ = lease::NewWriterId();
+  {
+    // Reap, replay + seal, and lease under one flock: no writer can
+    // acquire (or Compact) between what this writer settles and the
+    // moment its own lease makes it visible.
+    SPARSIFY_FAILPOINT("store.lease.acquire");
+    lease::LeaseDirLock dir_lock(dir_);
+    ReapStaleWritersLocked();
+    Replay();
+    lease::WriteLease(dir_, OwnLease(0));
   }
   try {
-    Replay();
-    if (!options_.read_only) StartHeartbeat();
+    StartHeartbeat();
   } catch (...) {
     // The destructor never runs when the constructor throws: drop the
-    // lease here or a failed open would leave a ghost writer for the
-    // lease TTL.
-    if (!options_.read_only) {
-      lease::RemoveLease(dir_, writer_id_);
-    }
+    // lease here or a failed open would leave a ghost writer.
+    lease::RemoveLease(dir_, writer_id_);
     throw;
   }
 }
@@ -610,7 +576,7 @@ ResultStore::~ResultStore() {
     }
 #endif
   }
-  if (!options_.read_only && !writer_id_.empty()) {
+  if (!writer_id_.empty()) {
     // Release the lease so peers see this writer as dead immediately
     // (a leaked lease file is reaped as stale by the next acquirer).
     lease::RemoveLease(dir_, writer_id_);
@@ -622,65 +588,29 @@ std::string ResultStore::PathInDir(const std::string& dir) {
   return (std::filesystem::path(dir) / DefaultFileName()).string();
 }
 
-ResultStore ResultStore::OpenInDir(const std::string& dir,
-                                   ResultStoreOptions options) {
-  return ResultStore(PathInDir(dir), options);
-}
-
-void ResultStore::AcquireLease() {
-  SPARSIFY_FAILPOINT("store.lease.acquire");
-  lease::LeaseDirLock dir_lock(dir_);
-  ReapStaleWritersLocked();
-  // Base-file ownership: exactly one live writer appends to the base
-  // `results.jsonl` (so a single-process store looks exactly like it
-  // always did); everyone else appends to their own segment chain. First
-  // live acquirer without a competing owner takes it.
-  owns_base_ = true;
-  for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
-    if (info.writer != writer_id_ && info.owns_base) {
-      owns_base_ = false;
-      break;
-    }
-  }
-  lease::LeaseInfo mine;
-  mine.writer = writer_id_;
-  mine.pid = OwnPid();
-  mine.heartbeat = 0;
-  mine.ttl_seconds = options_.lease_ttl_seconds;
-  mine.owns_base = owns_base_;
-  lease::WriteLease(dir_, mine);
+lease::LeaseInfo ResultStore::OwnLease(uint64_t heartbeat) const {
+  lease::LeaseInfo info;
+  info.writer = writer_id_;
+  info.pid = OwnPid();
+  info.heartbeat = heartbeat;
+  info.ttl_seconds = options_.lease_ttl_seconds;
+  return info;
 }
 
 void ResultStore::ReapStaleWritersLocked() {
   static obs::Counter& reaped = obs::GetCounter("store.reaped_leases");
-  const std::string base_name = fs::path(path_).filename().string();
-  // Dead writers first: seal their newest segment (truncate a torn tail),
-  // drop segments that never got past their header, drop the lease.
+  // Dead writers' leases go; their segments become writerless and are
+  // sealed by the replay that follows a writable open.
   for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
     if (info.writer == writer_id_) continue;
     if (!PidProvablyDead(info.pid)) continue;
-    std::vector<std::pair<uint64_t, std::string>> own_segs;
-    for (const auto& [key, seg_path] : ListSegments(dir_)) {
-      if (key.first == info.writer) own_segs.push_back({key.second, seg_path});
-    }
-    if (!own_segs.empty()) {
-      SealSegmentFile(own_segs.back().second);
-    }
-    for (const auto& [n, seg_path] : own_segs) {
-      if (SegmentIsEmpty(seg_path)) {
-        std::error_code ec;
-        fs::remove(seg_path, ec);
-      }
-    }
-    // A dead base owner's torn base tail stays: the next base owner
-    // repairs it in EnsureWritable, exactly like the single-writer store
-    // always has.
     lease::RemoveLease(dir_, info.writer);
     reaped.Add();
   }
   // Orphan temp files from killed Compact()/merge commits: the rename
   // never happened, the log itself is intact, the temp is garbage. Only
   // provably-dead owners are swept — a live process may be mid-commit.
+  const std::string base_name = DefaultFileName();
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
@@ -704,10 +634,17 @@ void ResultStore::RequireSoleWriter(const char* op) {
   for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
     if (info.writer == writer_id_) continue;
     if (prober_.Alive(info)) {
-      throw StoreLockHeldError(std::string("result store: ") + path_ +
+      throw StoreLockHeldError(std::string("result store: ") + dir_ +
                                " has other live writers (" + op +
                                " needs exclusive access)");
     }
+  }
+}
+
+void ResultStore::RequireWritable() const {
+  if (options_.read_only) {
+    throw IoError("result store: " + dir_ +
+                  " was opened read-only (snapshot)");
   }
 }
 
@@ -724,17 +661,11 @@ void ResultStore::StartHeartbeat() {
                                  [this] { return heartbeat_stop_; })) {
         break;
       }
-      lease::LeaseInfo info;
-      info.writer = writer_id_;
-      info.pid = OwnPid();
-      info.heartbeat = ++heartbeat_;
-      info.ttl_seconds = options_.lease_ttl_seconds;
-      info.owns_base = owns_base_;
       try {
         // Recreates the lease file if a peer reaped it while this
         // process was wedged; worst case our claims were stolen and the
         // thief recomputed bit-identical values.
-        lease::WriteLease(dir_, info);
+        lease::WriteLease(dir_, OwnLease(++heartbeat_));
       } catch (...) {
         renew_failures.Add();
       }
@@ -754,9 +685,9 @@ void ResultStore::StopHeartbeat() {
 
 void ResultStore::Replay() {
   TRACE_SPAN(span, "store_replay");
-  if (span.active()) span.Detail(path_);
+  if (span.active()) span.Detail(dir_);
   SPARSIFY_FAILPOINT("store.replay");
-  // Records on every exit path (multiple returns, throws on corruption).
+  // Records on every exit path, throws on corruption included.
   struct ReplayObs {
     Timer timer;
     ~ReplayObs() {
@@ -767,159 +698,111 @@ void ResultStore::Replay() {
   } replay_obs;
 
   // Base first (it holds the oldest records — compaction folds into it),
-  // then every segment in (writer, n) order. Cross-writer ambiguity is
-  // harmless: concurrent writers compute bit-identical values for equal
-  // keys, and the peer insert rule never lets an error shadow a success.
-  ReplayFile(path_, /*own_base=*/options_.read_only || owns_base_,
-             /*peer=*/!options_.read_only && !owns_base_);
+  // then every segment in (writer, n) order. The base never has a
+  // writer. Leases are listed AFTER the segments: a writer leases before
+  // it creates a segment and unleases after its last flush, so a segment
+  // whose writer shows no live lease here will never grow again.
+  std::vector<std::pair<std::string, std::string>> files = {{"", path_}};
   for (const auto& [key, seg_path] : ListSegments(dir_)) {
-    if (!writer_id_.empty() && key.first == writer_id_) continue;
-    ReplayFile(seg_path, /*own_base=*/false, /*peer=*/true);
+    files.emplace_back(key.first, seg_path);
+  }
+  std::set<std::string> live;
+  for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
+    if (!PidProvablyDead(info.pid)) live.insert(info.writer);
+  }
+  for (const auto& [writer, file] : files) {
+    std::ifstream in(file, std::ios::binary);
+    if (!in) continue;  // missing base = nothing compacted yet
+    ++replayed_files_;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string content = buf.str();
+    const bool writerless = writer.empty() || !live.contains(writer);
+    LogFile& state = logs_[file];
+    // Strict: at open every terminated line is settled history, so a
+    // corrupt one is bit rot — a live writer never produces one.
+    ReplayLines(file, state, content, /*strict=*/true,
+                /*settled=*/writerless);
+    if (!writerless) continue;
+    state.done = true;
+    if (!options_.read_only) SealFile(file, content, state);
   }
 }
 
-void ResultStore::ReplayFile(const std::string& file, bool own_base,
-                             bool peer) {
-  std::ifstream in(file, std::ios::binary);
-  const bool is_base = file == path_;
-  if (!in) {
-    if (is_base) file_exists_ = false;
-    return;  // missing file = empty store; header written on first Append
-  }
-  ++replayed_files_;
-  if (is_base) file_exists_ = true;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string content = buf.str();
-
-  if (peer || !own_base) {
-    // Peer-owned file (a live writer may still be appending): absorb the
-    // terminated prefix, leave any partial tail pending for
-    // RefreshPeers. Strict about interior corruption — a live writer
-    // never produces a terminated-but-garbled line, so one is bit rot.
-    PeerFile& state = peers_[file];
-    AbsorbPeerLines(file, state, content, /*strict=*/true);
-    return;
-  }
-
-  if (content.empty()) return;  // empty file: treat like a fresh store
-  size_t pos = 0;
-  size_t line_no = 0;
-  while (pos < content.size()) {
-    size_t nl = content.find('\n', pos);
-    bool terminated = nl != std::string::npos;
-    size_t end = terminated ? nl : content.size();
-    std::string line = content.substr(pos, end - pos);
-    bool is_tail = !terminated;
-
-    bool ok;
-    StoredCell cell;
-    StoredClaim claim;
-    LineKind kind = LineKind::kBad;
-    if (line_no == 0) {
-      ok = ParseHeader(line);
-      if (!ok && !is_tail) {
-        throw StoreCorruptError("result store: " + file +
-                                " is not a result-store log (bad header)");
-      }
-    } else {
-      kind = ParseLine(line, &cell, &claim);
-      ok = kind != LineKind::kBad;
-      if (ok) {
-        switch (CheckLineCrc(line)) {
-          case CrcStatus::kOk:
-          case CrcStatus::kLegacy:  // version-1 record: no checksum to check
-            break;
-          case CrcStatus::kBad:
-            // A parseable line whose checksum fails is bit rot, not a torn
-            // append — unless it is the unterminated tail, where a torn
-            // checksum field itself is expected and droppable.
-            if (!is_tail) {
-              throw StoreCorruptError(
-                  "result store: checksum mismatch at line " +
-                  std::to_string(line_no + 1) + " of " + file);
-            }
-            ok = false;
-        }
-      }
-      if (!ok && !is_tail) {
-        throw StoreCorruptError("result store: corrupt record at line " +
-                                std::to_string(line_no + 1) + " of " + file);
-      }
-      if (ok) {
-        if (kind == LineKind::kClaim) {
-          claims_.push_back(std::move(claim));
-        } else {
-          InsertLocked(std::move(cell), /*peer=*/false);
-        }
-        ++log_records_;
-      }
-    }
-    if (!ok) {
-      // Unterminated and unparseable: the torn tail of a crashed append.
-      // Everything before it is intact; the tail is cut off before the
-      // next append.
-      dropped_tail_bytes_ = content.size() - pos;
-      ends_with_newline_ = true;
-      return;
-    }
-    valid_bytes_ = terminated ? end + 1 : end;
-    ends_with_newline_ = terminated;
-    pos = end + (terminated ? 1 : 0);
-    ++line_no;
-  }
-}
-
-size_t ResultStore::AbsorbPeerLines(const std::string& file, PeerFile& state,
-                                    const std::string& view, bool strict) {
+size_t ResultStore::ReplayLines(const std::string& file, LogFile& state,
+                                const std::string& view, bool strict,
+                                bool settled) {
   static obs::Counter& poisoned_files =
       obs::GetCounter("store.poisoned_peer_files");
-  if (state.poisoned) return 0;
   size_t absorbed = 0;
   size_t pos = 0;  // offset into `view`, i.e. file offset - state.consumed
   while (pos < view.size()) {
-    const size_t nl = view.find('\n', pos);
-    if (nl == std::string::npos) break;  // partial line: peer mid-append
-    const std::string line = view.substr(pos, nl - pos);
+    size_t end = view.find('\n', pos);
+    const bool terminated = end != std::string::npos;
+    if (!terminated) {
+      if (!settled) break;  // a live peer may still be writing it
+      end = view.size();
+    }
+    const std::string line = view.substr(pos, end - pos);
+    StoredCell cell;
+    StoredClaim claim;
+    LineStatus status = LineStatus::kOk;
+    LineKind kind = LineKind::kBad;
     if (state.line_no == 0) {
-      if (!ParseHeader(line)) {
-        throw StoreCorruptError("result store: " + file +
-                                " is not a result-store log (bad header)");
+      if (!ParseHeader(line)) status = LineStatus::kBadHeader;
+    } else if ((kind = ParseLine(line, &cell, &claim)) == LineKind::kBad) {
+      status = LineStatus::kBadRecord;
+    } else if (CheckLineCrc(line) == CrcStatus::kBad) {
+      status = LineStatus::kBadChecksum;
+    }
+    if (status != LineStatus::kOk) {
+      if (!terminated) {
+        // The torn tail of a crashed append: everything before it is
+        // intact. Unparseable and checksum-torn tails alike.
+        dropped_tail_bytes_ += line.size();
+        break;
       }
-    } else {
-      StoredCell cell;
-      StoredClaim claim;
-      const LineKind kind = ParseLine(line, &cell, &claim);
-      const bool ok =
-          kind != LineKind::kBad && CheckLineCrc(line) != CrcStatus::kBad;
-      if (!ok) {
-        // At open the whole prefix is settled history: corruption is
-        // fatal exactly like in the base file. Mid-run (RefreshPeers)
-        // the sweep must survive a peer's bit rot: poison the file —
-        // everything already absorbed stays, the rest is ignored and
-        // recomputed by this worker if the scheduler needs it.
-        if (strict) {
-          throw StoreCorruptError("result store: corrupt record at line " +
-                                  std::to_string(state.line_no + 1) + " of " +
-                                  file);
-        }
-        state.poisoned = true;
-        poisoned_files.Add();
-        return absorbed;
+      if (strict) {
+        throw StoreCorruptError(
+            CorruptionMessage(status, state.line_no, file));
       }
-      if (kind == LineKind::kClaim) {
-        claims_.push_back(std::move(claim));
-      } else {
-        InsertLocked(std::move(cell), /*peer=*/true);
-        ++absorbed;
-      }
+      // Mid-run the sweep must survive a peer's bit rot: everything
+      // absorbed so far stays, the rest of the file is ignored and
+      // recomputed by this worker if the scheduler needs it.
+      state.done = true;
+      poisoned_files.Add();
+      break;
+    }
+    if (kind == LineKind::kClaim) {
+      claims_.push_back(std::move(claim));
       ++log_records_;
+    } else if (kind == LineKind::kCell) {
+      InsertLocked(std::move(cell));
+      ++log_records_;
+      ++absorbed;
     }
     ++state.line_no;
-    state.consumed += (nl + 1) - pos;
-    pos = nl + 1;
+    pos = terminated ? end + 1 : end;
   }
+  state.consumed += pos;
   return absorbed;
+}
+
+void ResultStore::SealFile(const std::string& file,
+                           const std::string& content, const LogFile& state) {
+  // Best-effort: a seal that fails leaves a file the next open settles
+  // the same way.
+  std::error_code ec;
+  if (state.line_no <= 1) {
+    // Header at most (a writer killed right after creating or rotating
+    // its segment, or a torn header): nothing to keep.
+    fs::remove(file, ec);
+  } else if (state.consumed < content.size()) {
+    fs::resize_file(file, state.consumed, ec);  // cut the torn tail
+  } else if (content.back() != '\n') {
+    // A whole final record that lost only its newline.
+    std::ofstream(file, std::ios::binary | std::ios::app) << '\n';
+  }
 }
 
 size_t ResultStore::RefreshPeers() {
@@ -927,24 +810,21 @@ size_t ResultStore::RefreshPeers() {
       obs::GetCounter("store.peer_refresh_records");
   std::lock_guard<std::mutex> lock(mu_);
   size_t absorbed = 0;
-  auto refresh_file = [&](const std::string& file) {
-    PeerFile& state = peers_[file];
-    if (state.poisoned) return;
-    std::ifstream in(file, std::ios::binary);
-    if (!in) return;
+  // The base changes only under Compact/merge, which no live writer
+  // lets happen, so only segments can grow.
+  for (const auto& [key, seg_path] : ListSegments(dir_)) {
+    if (key.first == writer_id_) continue;
+    LogFile& state = logs_[seg_path];
+    if (state.done) continue;
+    std::ifstream in(seg_path, std::ios::binary);
+    if (!in) continue;
     in.seekg(static_cast<std::streamoff>(state.consumed));
-    if (!in) return;
+    if (!in) continue;
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string tail = buf.str();
-    if (tail.empty()) return;
     // Mid-run: peer bit rot poisons the file, never throws.
-    absorbed += AbsorbPeerLines(file, state, tail, /*strict=*/false);
-  };
-  if (!owns_base_ && !options_.read_only) refresh_file(path_);
-  for (const auto& [key, seg_path] : ListSegments(dir_)) {
-    if (!writer_id_.empty() && key.first == writer_id_) continue;
-    refresh_file(seg_path);
+    absorbed += ReplayLines(seg_path, state, buf.str(), /*strict=*/false,
+                            /*settled=*/false);
   }
   refreshed.Add(absorbed);
   return absorbed;
@@ -992,17 +872,16 @@ std::vector<StoredClaim> ResultStore::Claims() const {
   return claims_;
 }
 
-void ResultStore::InsertLocked(StoredCell cell, bool peer) {
+void ResultStore::InsertLocked(StoredCell cell) {
   std::string canonical = cell.key.Canonical();
   auto it = index_.find(canonical);
   if (it != index_.end()) {
     StoredCell& slot = cells_[it->second];
-    // A peer's error never shadows a completed result: equal keys carry
+    // An error never shadows a completed result: equal keys carry
     // bit-identical values across writers, so any success IS the value;
-    // the error just means some other worker's attempt failed.
-    if (peer && cell.is_error && !slot.is_error) return;
+    // the error just means some attempt failed.
+    if (cell.is_error && !slot.is_error) return;
     if (slot.is_error && !cell.is_error) --error_cells_;
-    if (!slot.is_error && cell.is_error) ++error_cells_;
     slot = std::move(cell);  // last write wins, keeps position
   } else {
     if (cell.is_error) ++error_cells_;
@@ -1018,75 +897,13 @@ std::string ResultStore::SegmentPath(uint64_t n) const {
 }
 
 void ResultStore::EnsureWritable() {
-  if (options_.read_only) {
-    throw IoError("result store: " + path_ +
-                  " was opened read-only (snapshot)");
-  }
-  if (out_.is_open()) return;
-  if (append_path_.empty()) {
-    if (owns_base_) {
-      append_path_ = path_;
-      if (file_exists_ && dropped_tail_bytes_ > 0) {
-        // Cut the torn tail so the file returns to whole-line form.
-        std::filesystem::resize_file(path_, valid_bytes_);
-        dropped_tail_bytes_ = 0;
-      }
-      out_.open(append_path_, std::ios::binary | std::ios::app);
-      if (!out_) {
-        throw IoError("result store: cannot open " + append_path_ +
-                      " for append");
-      }
-      if (!file_exists_ || valid_bytes_ == 0) {
-        const std::string header = SerializeHeader(kFormatVersion);
-        out_ << header;
-        append_path_bytes_ = header.size();
-      } else {
-        if (!ends_with_newline_) {
-          // Valid final record that lost only its newline in a crash.
-          out_ << '\n';
-        }
-        append_path_bytes_ = valid_bytes_ + (ends_with_newline_ ? 0 : 1);
-      }
-      ends_with_newline_ = true;
-      file_exists_ = true;
-    } else {
-      // Not the base owner: this writer's records live in its own
-      // segment chain, so concurrent processes never share an append fd.
-      append_path_ = SegmentPath(next_segment_++);
-      out_.open(append_path_, std::ios::binary | std::ios::trunc);
-      if (!out_) {
-        throw IoError("result store: cannot open " + append_path_ +
-                      " for append");
-      }
-      const std::string header = SerializeHeader(kFormatVersion);
-      out_ << header;
-      append_path_bytes_ = header.size();
-    }
-  } else {
-    out_.open(append_path_, std::ios::binary | std::ios::app);
-    if (!out_) {
-      throw IoError("result store: cannot open " + append_path_ +
-                    " for append");
-    }
-  }
-#ifdef SPARSIFY_STORE_HAS_POSIX
-  if (sync_fd_ < 0) {
-    // ofstream gives no access to its descriptor, and fsync needs one;
-    // a second descriptor on the same file syncs the same data.
-    sync_fd_ = ::open(append_path_.c_str(), O_WRONLY | O_CLOEXEC);
-    if (sync_fd_ < 0 && fsync_policy_ != FsyncPolicy::kNone) {
-      throw IoError("result store: cannot open " + append_path_ +
-                    " for fsync");
-    }
-  }
-#endif
+  RequireWritable();
+  if (!out_.is_open()) OpenSegmentLocked();
 }
 
-void ResultStore::RotateLocked() {
-  static obs::Counter& rotations =
-      obs::GetCounter("store.segment_rotations");
-  SPARSIFY_FAILPOINT("store.rotate");
-  CloseWriterLocked();
+void ResultStore::OpenSegmentLocked() {
+  // A fresh file per segment: concurrent processes never share an
+  // append fd, and no writer ever appends to a file it did not create.
   append_path_ = SegmentPath(next_segment_++);
   out_.open(append_path_, std::ios::binary | std::ios::trunc);
   if (!out_) {
@@ -1097,12 +914,22 @@ void ResultStore::RotateLocked() {
   out_ << header;
   append_path_bytes_ = header.size();
 #ifdef SPARSIFY_STORE_HAS_POSIX
+  // ofstream gives no access to its descriptor, and fsync needs one; a
+  // second descriptor on the same file syncs the same data.
   sync_fd_ = ::open(append_path_.c_str(), O_WRONLY | O_CLOEXEC);
   if (sync_fd_ < 0 && fsync_policy_ != FsyncPolicy::kNone) {
     throw IoError("result store: cannot open " + append_path_ +
                   " for fsync");
   }
 #endif
+}
+
+void ResultStore::RotateLocked() {
+  static obs::Counter& rotations =
+      obs::GetCounter("store.segment_rotations");
+  SPARSIFY_FAILPOINT("store.rotate");
+  CloseWriterLocked();
+  OpenSegmentLocked();
   rotations.Add();
 }
 
@@ -1160,7 +987,7 @@ void ResultStore::AppendRecordLocked(const std::string& line) {
 
 void ResultStore::AppendLocked(StoredCell cell) {
   AppendRecordLocked(SerializeRecord(cell));
-  InsertLocked(std::move(cell), /*peer=*/false);
+  InsertLocked(std::move(cell));
 }
 
 void ResultStore::Append(const CellKey& key, double achieved_prune_rate,
@@ -1250,66 +1077,32 @@ void ResultStore::RewriteLogLocked(const std::vector<StoredCell>& cells,
   SPARSIFY_FAILPOINT(fp_rename);
   std::filesystem::rename(tmp, path_);
   // The folded segments are garbage now; every writer is dead (sole-
-  // writer precondition) except us, and ours were folded too.
+  // writer precondition) except us, and ours were folded too. The next
+  // append opens a fresh segment.
   for (const auto& [key, seg_path] : ListSegments(dir_)) {
     std::error_code ec;
     fs::remove(seg_path, ec);
   }
-
-  {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path_, ec);
-    valid_bytes_ = ec ? 0 : static_cast<size_t>(size);
-  }
   dropped_tail_bytes_ = 0;
-  ends_with_newline_ = true;
-  file_exists_ = true;
   log_records_ = cells.size();
   claims_.clear();
-  peers_.clear();
-  append_path_.clear();
-  append_path_bytes_ = 0;
-  // Sole writer: the rewritten base is ours now, whoever owned it before.
-  // If ownership actually changed hands, publish it in the lease
-  // immediately (still under the caller's lease-dir flock) — a window
-  // where the base looks unowned would let a fresh acquirer claim it and
-  // interleave appends with ours.
-  if (!owns_base_.exchange(true)) {
-    std::lock_guard<std::mutex> hb(heartbeat_mu_);
-    lease::LeaseInfo info;
-    info.writer = writer_id_;
-    info.pid = OwnPid();
-    info.heartbeat = heartbeat_;
-    info.ttl_seconds = options_.lease_ttl_seconds;
-    info.owns_base = true;
-    try {
-      lease::WriteLease(dir_, info);
-    } catch (...) {
-      // Renewal recreates it within ttl/4; until then no acquirer can
-      // run anyway — the caller still holds the lease-dir flock.
-    }
-  }
+  logs_.clear();
 }
 
 CompactStats ResultStore::Compact() {
   TRACE_SPAN(span, "store_compact");
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.read_only) {
-    throw IoError("result store: " + path_ +
-                  " was opened read-only (snapshot)");
-  }
+  RequireWritable();
   CompactStats stats;
   stats.records_before = log_records_;
   stats.records_after = cells_.size();
   {
     std::error_code ec;
-    if (file_exists_) {
-      const auto size = std::filesystem::file_size(path_, ec);
-      if (!ec) stats.bytes_before = size;
-    }
+    const auto size = std::filesystem::file_size(path_, ec);
+    if (!ec) stats.bytes_before = size;
     for (const auto& [key, seg_path] : ListSegments(dir_)) {
-      const auto size = std::filesystem::file_size(seg_path, ec);
-      if (!ec) stats.bytes_before += size;
+      const auto seg_size = std::filesystem::file_size(seg_path, ec);
+      if (!ec) stats.bytes_before += seg_size;
     }
   }
 
@@ -1338,10 +1131,7 @@ CompactStats ResultStore::Compact() {
 void ResultStore::ReplaceWithMerged(std::vector<StoredCell> cells) {
   TRACE_SPAN(span, "store_merge_commit");
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.read_only) {
-    throw IoError("result store: " + path_ +
-                  " was opened read-only (snapshot)");
-  }
+  RequireWritable();
   lease::LeaseDirLock dir_lock(dir_);
   RequireSoleWriter("merge");
   CloseWriterLocked();

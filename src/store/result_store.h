@@ -1,33 +1,32 @@
 // Append-only persistent store of completed experiment cells, shared by
 // cooperating writer processes.
 //
-// The log is a base file (`results.jsonl`) plus zero or more per-writer
-// segments (`log.<writer-id>.<n>.jsonl`), every file a self-describing
-// header line followed by one flat JSON object per record. Records are
-// appended and flushed one at a time, so after a crash each file is a
-// valid prefix plus at most one truncated tail line; replay detects and
-// drops that tail (it is not fatal), while corruption anywhere before the
-// tail is. Format version 2 adds a CRC-32C to every record (interior
-// bit-rot is detected, not silently replayed) and an error-record kind (a
-// unit that failed is recorded under its CellKey so a resumed sweep knows
-// to resubmit it). Version-1 logs are still replayed (their records carry
-// no CRC).
+// A store is a directory. Every writer appends only to its own segment
+// chain (`log.<writer-id>.<n>.jsonl`); the base file (`results.jsonl`)
+// is written only by Compact() and ReplaceWithMerged(). Every file is a
+// self-describing header line followed by one flat JSON object per
+// record, appended and flushed one at a time, so after a crash each file
+// is a valid prefix plus at most one unterminated final line; corruption
+// anywhere before that line is fatal. Format version 2 adds a CRC-32C to
+// every record (interior bit-rot is detected, not silently replayed) and
+// an error-record kind (a unit that failed is recorded under its CellKey
+// so a resumed sweep knows to resubmit it). Version-1 logs are still
+// replayed (their records carry no CRC).
 //
 // Multi-writer coordination is lease-based, not lock-based: each open
-// writable store holds a heartbeat-renewed lease file (see util/lease.h)
-// and appends only to its OWN segment chain, so concurrent processes
-// never interleave writes in one file. Stale leases (dead pid or stopped
-// heartbeat) are reaped at open: their torn segment tails are sealed and
-// empty leftovers removed. Replay folds every file last-write-wins by
-// CellKey; records from OTHER writers additionally never downgrade a
-// success to an error (concurrent workers compute bit-identical values,
-// so any surviving success is THE value). See README.md in this directory
-// for the format, the lease state machine, and the crash-recovery
-// contract.
+// writable store holds a heartbeat-renewed lease file (see util/lease.h),
+// so concurrent processes never interleave writes in one file. A file
+// without a live writer is settled at open: its unterminated final line
+// is kept when it is a whole record that lost only its newline and
+// dropped as a torn tail otherwise, and a writable open seals the file to
+// match. Replay folds every file last-write-wins by CellKey, except that
+// an error record never downgrades a success (concurrent workers compute
+// bit-identical values, so any surviving success is THE value). See
+// README.md in this directory for the format, the lease state machine,
+// and the crash-recovery contract.
 #ifndef SPARSIFY_STORE_RESULT_STORE_H_
 #define SPARSIFY_STORE_RESULT_STORE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +37,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/store/cell_key.h"
@@ -121,28 +119,26 @@ class ResultStore {
   /// Conventional file name inside a store directory.
   static std::string DefaultFileName() { return "results.jsonl"; }
 
-  /// Opens (and replays) the log at `path` (the BASE file; its directory
-  /// is scanned for peer segments). A missing file is an empty store; the
-  /// header is written on the first Append. Throws StoreCorruptError when
-  /// a log file exists but is not a result-store log (bad header), has a
-  /// corrupt or checksum-failing record before the final line, or has an
-  /// unsupported version; IoError on filesystem failures. (All derive
-  /// from std::runtime_error.)
+  /// Opens (and replays) the store in the directory of `path`, which must
+  /// be `<dir>/results.jsonl` as returned by PathInDir — any other file
+  /// name throws std::invalid_argument. An empty or missing directory is
+  /// an empty store; this writer's first segment is created on the first
+  /// append. Throws StoreCorruptError when a log file is not a
+  /// result-store log (bad header), has a corrupt or checksum-failing
+  /// record before its final line, or has an unsupported version;
+  /// IoError on filesystem failures. (Both derive from
+  /// std::runtime_error.)
   explicit ResultStore(std::string path, ResultStoreOptions options = {});
 
   /// Flushes (per the fsync policy, best-effort), stops the heartbeat,
   /// and releases the lease.
   ~ResultStore();
 
-  /// Creates `dir` if needed and returns the conventional log path inside
-  /// it (for callers that heap-allocate the store themselves).
+  /// Creates `dir` if needed and returns `dir`/results.jsonl, the path
+  /// the constructor takes.
   static std::string PathInDir(const std::string& dir);
 
-  /// Creates `dir` if needed and opens `dir`/results.jsonl.
-  static ResultStore OpenInDir(const std::string& dir,
-                               ResultStoreOptions options = {});
-
-  // Not movable (internal mutex); OpenInDir relies on guaranteed elision.
+  // Not movable (internal mutex).
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
@@ -175,24 +171,24 @@ class ResultStore {
   /// scheduler judges liveness per claimant.
   std::vector<StoredClaim> Claims() const;
 
-  /// Bytes of truncated tail dropped during replay (0 for a clean log).
+  /// Bytes of torn tails dropped from writerless files at open (0 for a
+  /// clean store).
   size_t DroppedTailBytes() const { return dropped_tail_bytes_; }
 
   /// Log files replayed at open (base + segments present).
   size_t SegmentCount() const { return replayed_files_; }
 
-  /// Durably appends one record: the line is written and flushed before
-  /// returning, and the in-memory index is updated. On the first append
-  /// after replaying a crashed log, the truncated tail is cut off first so
-  /// the file stays a sequence of whole lines. Throws IoError when the
-  /// write, flush, or (policy-dependent) fsync fails — a result the caller
-  /// believes persisted MUST actually be on its way to disk.
+  /// Durably appends one record to this writer's own segment: the line is
+  /// written and flushed before returning, and the in-memory index is
+  /// updated. Throws IoError when the write, flush, or (policy-dependent)
+  /// fsync fails — a result the caller believes persisted MUST actually be
+  /// on its way to disk.
   void Append(const CellKey& key, double achieved_prune_rate, double value);
 
   /// Appends an error record for `key`: the unit failed with
   /// `error_class` ("transient" or "permanent") after `attempts` tries.
-  /// Replaces any previous record for the key in the index; a later
-  /// successful Append for the same key supersedes it in turn.
+  /// Replaces a previous error for the key in the index but never a
+  /// success; a later successful Append for the key supersedes it.
   void AppendError(const CellKey& key, const std::string& error_class,
                    const std::string& error_message, int attempts);
 
@@ -200,9 +196,8 @@ class ResultStore {
   /// this writer's own segment, durably like Append.
   void AppendClaim(const std::string& scope, uint64_t chunk);
 
-  /// Incrementally absorbs newly TERMINATED lines from peers' log files
-  /// (other writers' segments, and the base file when this writer does
-  /// not own it). A partially flushed final line stays pending — the peer
+  /// Incrementally absorbs newly TERMINATED lines from other writers'
+  /// segments. A partially flushed final line stays pending — the peer
   /// may still be writing it. Corruption inside a peer file poisons that
   /// file (its remaining lines are ignored, a counter records it) instead
   /// of failing the live sweep. Returns the number of cell records
@@ -216,8 +211,8 @@ class ResultStore {
 
   /// Rewrites the store to one record per live key (dropping superseded
   /// duplicates and all claim records; keys whose latest record is still
-  /// an error are kept as error records), folding every segment back into
-  /// the base file. Requires this to be the ONLY live writer — throws
+  /// an error are kept as error records), folding every segment into the
+  /// base file. Requires this to be the ONLY live writer — throws
   /// StoreLockHeldError otherwise, so a running sweep can never have the
   /// log rewritten under it. Atomic: writes a temp file beside the log,
   /// fsyncs it, renames over the base, then unlinks the folded segments —
@@ -237,40 +232,50 @@ class ResultStore {
   FsyncPolicy fsync_policy() const;
 
  private:
-  // Per peer-file incremental replay state (RefreshPeers).
-  struct PeerFile {
-    size_t consumed = 0;   // offset one past the last absorbed line
-    size_t line_no = 0;    // lines absorbed (0 = header not yet seen)
-    bool poisoned = false; // corrupt record seen: file ignored from here
+  // Replay state of one log file. A file is read from `consumed` on, so a
+  // live peer's segment is absorbed incrementally by RefreshPeers.
+  struct LogFile {
+    size_t consumed = 0;  // offset one past the last absorbed line
+    size_t line_no = 0;   // lines absorbed (0 = header not yet seen)
+    bool done = false;    // settled or poisoned: never read again
   };
 
-  void AcquireLease();            // + reap stale writers (under dir flock)
+  lease::LeaseInfo OwnLease(uint64_t heartbeat) const;
   void ReapStaleWritersLocked();  // caller holds the lease-dir flock
   void RequireSoleWriter(const char* op);
+  void RequireWritable() const;
   void StartHeartbeat();
   void StopHeartbeat();
 
+  // Replays the base, then every segment in (writer, n) order. A
+  // writable open (which holds the lease-dir flock) also seals the
+  // writerless files.
   void Replay();
-  // Replays one whole file. `own_base` = the base file this writer owns
-  // (tail is recorded for repair); otherwise the tail stays pending in
-  // `peers_`. Peer records obey the success-beats-error rule.
-  void ReplayFile(const std::string& file, bool own_base, bool peer);
-  // Parses `view` — the peer file's bytes from state.consumed on —
-  // absorbing terminated lines only. `strict` (open-time) makes a corrupt
-  // line fatal; otherwise (mid-run refresh) it poisons the file. Returns
-  // cell records absorbed.
-  size_t AbsorbPeerLines(const std::string& file, PeerFile& state,
-                         const std::string& view, bool strict);
+  // The one replay routine. Absorbs the lines of `view` — `file`'s bytes
+  // from state.consumed on. An unterminated final line stays pending
+  // unless `settled` (the file has no writer): then it is kept if it is a
+  // whole record and counted in dropped_tail_bytes_ if not. A corrupt
+  // terminated line throws when `strict` (open time) and poisons the
+  // file otherwise (mid-run). Returns cell records absorbed.
+  size_t ReplayLines(const std::string& file, LogFile& state,
+                     const std::string& view, bool strict, bool settled);
+  // The one seal routine: returns the writerless `file`, replayed from
+  // `content` into `state`, to whole-line form — appends the newline a
+  // kept final record lost, or cuts a torn tail — and deletes it when it
+  // holds no record.
+  static void SealFile(const std::string& file, const std::string& content,
+                       const LogFile& state);
 
-  void EnsureWritable();  // opens out_, repairing the tail if needed
-  void RotateLocked();    // seals the current segment, opens the next
+  void EnsureWritable();     // opens this writer's first segment
+  void OpenSegmentLocked();  // opens segment next_segment_ with a header
+  void RotateLocked();       // closes the current segment, opens the next
   std::string SegmentPath(uint64_t n) const;
   void AppendRecordLocked(const std::string& line);
   void AppendLocked(StoredCell cell);
   void SyncLocked(bool closing);  // fsync per policy; throws IoError
   void CloseWriterLocked();       // flush + final sync + close fds
 
-  void InsertLocked(StoredCell cell, bool peer);
+  void InsertLocked(StoredCell cell);
   // Shared commit step of Compact/ReplaceWithMerged: writes header +
   // `cells` to `tmp`, fsyncs, renames over the base, unlinks segments.
   void RewriteLogLocked(const std::vector<StoredCell>& cells,
@@ -278,28 +283,22 @@ class ResultStore {
                         const char* fp_rename);
 
   mutable std::mutex mu_;
-  std::string path_;  // base log file; segments live beside it
-  std::string dir_;   // parent directory of path_
+  std::string path_;  // DIR/results.jsonl
+  std::string dir_;   // the store directory
   ResultStoreOptions options_;
   std::string writer_id_;  // empty on read-only opens
-  // Atomic: the heartbeat thread copies it into renewals while Compact()
-  // may be taking ownership under mu_.
-  std::atomic<bool> owns_base_{false};
   std::ofstream out_;
-  std::string append_path_;         // file out_ appends to (base or segment)
+  std::string append_path_;         // this writer's current segment
   uint64_t append_path_bytes_ = 0;  // its size (rotation threshold check)
   uint64_t next_segment_ = 0;       // suffix of this writer's next segment
   std::vector<StoredCell> cells_;
   std::unordered_map<std::string, size_t> index_;  // Canonical() -> cells_ idx
   std::vector<StoredClaim> claims_;
-  std::map<std::string, PeerFile> peers_;  // peer log path -> replay state
+  std::map<std::string, LogFile> logs_;  // log path -> replay state
   size_t replayed_files_ = 0;
-  size_t valid_bytes_ = 0;         // replayed base prefix incl. header
-  size_t dropped_tail_bytes_ = 0;  // garbage after a valid prefix
+  size_t dropped_tail_bytes_ = 0;  // torn tails of writerless files
   size_t log_records_ = 0;         // record lines in the log (incl. dupes)
   size_t error_cells_ = 0;         // keys whose latest record is an error
-  bool file_exists_ = false;       // base file existed at open
-  bool ends_with_newline_ = true;  // base valid prefix ends in '\n'
   int sync_fd_ = -1;  // fsync descriptor for the log (ofstream hides its fd)
   FsyncPolicy fsync_policy_ = FsyncPolicy::kBatch;
   uint64_t appends_since_sync_ = 0;

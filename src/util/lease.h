@@ -1,7 +1,7 @@
 // Cooperative writer leases for multi-process result stores.
 //
-// A lease is one small JSON file (`lease.<writer-id>.json`) beside the
-// store log, holding the writer's pid, a monotonically increasing
+// A lease is one small JSON file (`lease.<writer-id>.json`) in the store
+// directory, holding the writer's pid, a monotonically increasing
 // heartbeat counter, and its TTL. Writers renew the heartbeat by
 // atomically rewriting the file (tmp + rename); readers judge liveness
 // without any shared clock:
@@ -38,7 +38,6 @@ struct LeaseInfo {
   long pid = 0;             // writer's process id on its host
   uint64_t heartbeat = 0;   // monotonic renewal counter
   double ttl_seconds = 30;  // staleness horizon the writer promised
-  bool owns_base = false;   // this writer appends to the base log file
   std::string path;         // lease file path (filled by ListLeases)
 };
 

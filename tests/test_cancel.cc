@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -29,11 +28,12 @@
 #include "src/util/errors.h"
 #include "src/util/failpoint.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
-namespace fs = std::filesystem;
+using testing_util::UniqueTestDir;
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
@@ -326,10 +326,6 @@ TEST(SignalCancelTest, FirstSignalCancelsTheToken) {
 // Engine contracts: unit deadlines and run-level cancellation
 // ---------------------------------------------------------------------------
 
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
-
 MetricFn SampledMetric() {
   return [](const Graph& g, const Graph& h, Rng& rng) {
     return QuadraticFormSimilarity(g, h, 5, rng);
@@ -374,8 +370,7 @@ class EngineCancelTest : public ::testing::Test {
 };
 
 TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
-  std::string dir = TempPath("deadline_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("deadline_store");
   SweepConfig config = TestConfig();
 
   // Cold reference, no store, no faults.
@@ -425,8 +420,7 @@ TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
 }
 
 TEST_F(EngineCancelTest, RunCancellationLeavesStoreResumableBitIdentically) {
-  std::string dir = TempPath("cancel_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("cancel_store");
   SweepConfig config = TestConfig();
 
   ResumableSweep cold(runner_, nullptr, "test-rev");

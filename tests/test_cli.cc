@@ -14,21 +14,19 @@
 #include "gtest/gtest.h"
 #include "src/store/result_store.h"
 #include "src/util/failpoint.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
 namespace fs = std::filesystem;
+using testing_util::UniqueTestDir;
 
 int RunCli(std::vector<std::string> args) {
   args.insert(args.begin(), "sparsify_cli");
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
   return cli::RunSparsifyCli(static_cast<int>(argv.size()), argv.data());
-}
-
-std::string StoreDir() {
-  return (fs::path(::testing::TempDir()) / "cli_store").string();
 }
 
 TEST(CliTest, UnknownFlagIsAnErrorNotANoop) {
@@ -81,9 +79,7 @@ TEST(CliTest, BooleanFlagDoesNotSwallowPositionalArg) {
 }
 
 TEST(CliTest, SeedAboveIntMaxIsPreserved) {
-  std::string dir =
-      (fs::path(::testing::TempDir()) / "bigseed_store").string();
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("bigseed_store");
   ASSERT_EQ(RunCli({"sweep", "--dataset=ego-Facebook", "--metric=degree",
                     "--algos=SF", "--runs=1", "--scale=0.1",
                     "--seed=5000000000", "--store=" + dir}),
@@ -158,11 +154,11 @@ TEST(CliTest, PaperPresetPinsRunsAndPerDatasetScaleOverrides) {
 }
 
 TEST(CliTest, SweepResumeExportLsEndToEnd) {
-  fs::remove_all(StoreDir());
+  const std::string store_dir = UniqueTestDir("cli_store");
   std::vector<std::string> sweep_args = {
       "sweep",       "--dataset=ego-Facebook", "--metric=degree",
       "--algos=RN",  "--runs=2",               "--scale=0.1",
-      "--store=" + StoreDir(),                 "--resume",
+      "--store=" + store_dir,                   "--resume",
       "--csv"};
 
   ::testing::internal::CaptureStdout();
@@ -181,20 +177,20 @@ TEST(CliTest, SweepResumeExportLsEndToEnd) {
   EXPECT_EQ(first.substr(first.find('\n')), second.substr(second.find('\n')));
 
   ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"ls", "--store=" + StoreDir()}), 0);
+  ASSERT_EQ(RunCli({"ls", "--store=" + store_dir}), 0);
   std::string ls = ::testing::internal::GetCapturedStdout();
   EXPECT_NE(ls.find("cells: 18"), std::string::npos);
   EXPECT_NE(ls.find("ego-Facebook@0.1 degree"), std::string::npos);
 
   ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"export", "--store=" + StoreDir()}), 0);
+  ASSERT_EQ(RunCli({"export", "--store=" + store_dir}), 0);
   std::string exported = ::testing::internal::GetCapturedStdout();
   EXPECT_NE(exported.find("sparsifier,prune_rate,achieved_prune_rate,value,"
                           "stddev,runs"),
             std::string::npos);
   EXPECT_NE(exported.find("RN,"), std::string::npos);
 
-  EXPECT_NE(RunCli({"export", "--store=" + StoreDir(), "--format=bogus"}),
+  EXPECT_NE(RunCli({"export", "--store=" + store_dir, "--format=bogus"}),
             0);
 }
 
@@ -205,12 +201,6 @@ class CliExitCodeTest : public ::testing::Test {
   void TearDown() override {
     ::unsetenv("SPARSIFY_FAILPOINTS");
     fail::DisarmAll();
-  }
-
-  std::string FreshDir(const std::string& name) {
-    std::string dir = (fs::path(::testing::TempDir()) / name).string();
-    fs::remove_all(dir);
-    return dir;
   }
 
   std::vector<std::string> SweepArgs(const std::string& dir) {
@@ -226,7 +216,7 @@ TEST_F(CliExitCodeTest, BusyStoreExitsWithLockHeldCode) {
   // Appending is cooperative since the lease protocol, so `ls` (and a
   // second sweep) proceed alongside a live writer; only exclusive
   // whole-store rewrites — compact — refuse with the busy exit code.
-  std::string dir = FreshDir("exit_lock_store");
+  std::string dir = UniqueTestDir("exit_lock_store");
   ResultStore holder(ResultStore::PathInDir(dir));
   holder.Append(
       CellKey{"ego-Facebook@0.1", "RN", 0.5, 0, 1234567u, "degree", "x"},
@@ -236,11 +226,13 @@ TEST_F(CliExitCodeTest, BusyStoreExitsWithLockHeldCode) {
 }
 
 TEST_F(CliExitCodeTest, CorruptStoreExitsWithCorruptCode) {
-  std::string dir = FreshDir("exit_corrupt_store");
+  std::string dir = UniqueTestDir("exit_corrupt_store");
   ASSERT_EQ(RunCli(SweepArgs(dir)), cli::kExitOk);
   // Flip a digit inside the first record; the line stays terminated, so
   // replay must classify it as corruption, not a torn tail.
-  std::string path = ResultStore::PathInDir(dir);
+  std::vector<std::string> logs = testing_util::LogFiles(dir);
+  ASSERT_EQ(logs.size(), 1u);
+  const std::string& path = logs.front();
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
@@ -252,7 +244,7 @@ TEST_F(CliExitCodeTest, CorruptStoreExitsWithCorruptCode) {
 }
 
 TEST_F(CliExitCodeTest, PermanentUnitFailuresExitWithUnitFailureCode) {
-  std::string dir = FreshDir("exit_perm_store");
+  std::string dir = UniqueTestDir("exit_perm_store");
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
                      "engine.metric_unit/degree=throw", 1),
             0);
@@ -274,7 +266,7 @@ TEST_F(CliExitCodeTest, PermanentUnitFailuresExitWithUnitFailureCode) {
 }
 
 TEST_F(CliExitCodeTest, AllTransientFailuresExitWithTransientCode) {
-  std::string dir = FreshDir("exit_trans_store");
+  std::string dir = UniqueTestDir("exit_trans_store");
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
                      "engine.metric_unit=throw-transient", 1),
             0);
@@ -282,7 +274,7 @@ TEST_F(CliExitCodeTest, AllTransientFailuresExitWithTransientCode) {
 }
 
 TEST_F(CliExitCodeTest, CompactSubcommandShrinksAndKeepsExport) {
-  std::string dir = FreshDir("exit_compact_store");
+  std::string dir = UniqueTestDir("exit_compact_store");
   // Two passes without --resume: every cell recomputed and re-appended,
   // so the log carries superseded records for compact to drop.
   std::vector<std::string> args = SweepArgs(dir);
@@ -294,12 +286,12 @@ TEST_F(CliExitCodeTest, CompactSubcommandShrinksAndKeepsExport) {
   ASSERT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
   std::string before = ::testing::internal::GetCapturedStdout();
 
-  const auto bytes_before = fs::file_size(ResultStore::PathInDir(dir));
+  const auto bytes_before = testing_util::LogBytes(dir);
   ::testing::internal::CaptureStdout();
   ASSERT_EQ(RunCli({"compact", "--store=" + dir}), cli::kExitOk);
   std::string compact_out = ::testing::internal::GetCapturedStdout();
   EXPECT_NE(compact_out.find("compacted"), std::string::npos);
-  EXPECT_LT(fs::file_size(ResultStore::PathInDir(dir)), bytes_before);
+  EXPECT_LT(testing_util::LogBytes(dir), bytes_before);
 
   ::testing::internal::CaptureStdout();
   ASSERT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
@@ -311,7 +303,7 @@ TEST_F(CliExitCodeTest, CompactSubcommandShrinksAndKeepsExport) {
 TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
   // Two disjoint half-sweeps (different rates) into separate stores,
   // merged, must export exactly like one store that ran the full grid.
-  std::string full = FreshDir("merge_full");
+  std::string full = UniqueTestDir("merge_full");
   ASSERT_EQ(RunCli({"sweep", "--dataset=ego-Facebook", "--metrics=degree",
                     "--algos=RN", "--rates=0.3,0.6", "--runs=1",
                     "--scale=0.1", "--store=" + full}),
@@ -320,8 +312,8 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
   ASSERT_EQ(RunCli({"export", "--store=" + full}), cli::kExitOk);
   const std::string want = ::testing::internal::GetCapturedStdout();
 
-  std::string a = FreshDir("merge_a");
-  std::string b = FreshDir("merge_b");
+  std::string a = UniqueTestDir("merge_a");
+  std::string b = UniqueTestDir("merge_b");
   ASSERT_EQ(RunCli({"sweep", "--dataset=ego-Facebook", "--metrics=degree",
                     "--algos=RN", "--rates=0.3", "--runs=1", "--scale=0.1",
                     "--store=" + a}),
@@ -331,7 +323,7 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
                     "--store=" + b}),
             cli::kExitOk);
 
-  std::string out = FreshDir("merge_out");
+  std::string out = UniqueTestDir("merge_out");
   ::testing::internal::CaptureStdout();
   ASSERT_EQ(RunCli({"merge", a, b, "-o", out}), cli::kExitOk);
   std::string merge_out = ::testing::internal::GetCapturedStdout();
@@ -359,7 +351,7 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
 TEST_F(CliExitCodeTest, MergePrefersSuccessOverErrorRecords) {
   // Store A holds an error record for a unit that store B completed:
   // the merged store must carry B's success no matter the input order.
-  std::string a = FreshDir("merge_err_a");
+  std::string a = UniqueTestDir("merge_err_a");
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
                      "engine.metric_unit/degree=throw", 1),
             0);
@@ -369,12 +361,12 @@ TEST_F(CliExitCodeTest, MergePrefersSuccessOverErrorRecords) {
   ::unsetenv("SPARSIFY_FAILPOINTS");
   fail::DisarmAll();
 
-  std::string b = FreshDir("merge_err_b");
+  std::string b = UniqueTestDir("merge_err_b");
   ASSERT_EQ(RunCli(SweepArgs(b)), cli::kExitOk);
 
   for (const std::vector<std::string>& order :
        {std::vector<std::string>{a, b}, std::vector<std::string>{b, a}}) {
-    std::string out = FreshDir("merge_err_out");
+    std::string out = UniqueTestDir("merge_err_out");
     ::testing::internal::CaptureStdout();
     ASSERT_EQ(RunCli({"merge", order[0], order[1], "-o", out}),
               cli::kExitOk);

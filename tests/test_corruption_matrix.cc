@@ -16,14 +16,30 @@
 #include "src/store/result_store.h"
 #include "src/util/errors.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
 namespace fs = std::filesystem;
+using testing_util::LogBytes;
+using testing_util::LogFiles;
+using testing_util::UniqueTestDir;
 
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
+// The base-file path of a fresh store directory unique to this test.
+std::string StorePath(const std::string& name) {
+  return ResultStore::PathInDir(UniqueTestDir(name));
+}
+
+std::string DirOf(const std::string& path) {
+  return fs::path(path).parent_path().string();
+}
+
+// The one log file a single writer session left in `path`'s directory.
+std::string OnlyLogFile(const std::string& path) {
+  std::vector<std::string> files = LogFiles(DirOf(path));
+  EXPECT_EQ(files.size(), 1u);
+  return files.empty() ? std::string() : files.front();
 }
 
 std::string ReadFile(const std::string& path) {
@@ -51,8 +67,7 @@ CellKey MakeKey(const std::string& sparsifier, double rate, int run) {
 }
 
 std::string FreshStore(const std::string& name, int records) {
-  std::string path = TempPath(name);
-  fs::remove(path);
+  std::string path = StorePath(name);
   ResultStore store(path);
   for (int i = 0; i < records; ++i) {
     store.Append(MakeKey("RN", 0.1 * (i + 1), i), 0.1, 1.5 + i);
@@ -72,15 +87,16 @@ std::string Fingerprint(const ResultStore& store) {
 }
 
 TEST(CorruptionMatrixTest, BitFlipInRecordIsDetectedWithLineNumber) {
-  std::string path = FreshStore("bitflip_store.jsonl", 4);
-  std::string bytes = ReadFile(path);
+  std::string path = FreshStore("bitflip_store", 4);
+  const std::string log = OnlyLogFile(path);
+  std::string bytes = ReadFile(log);
   // Flip one digit inside the SECOND record (file line 3: header + 2).
   size_t line_start = 0;
   for (int i = 0; i < 2; ++i) line_start = bytes.find('\n', line_start) + 1;
   size_t pos = bytes.find("\"value\":", line_start) + 8;
   ASSERT_LT(pos, bytes.find('\n', line_start));
   bytes[pos] = bytes[pos] == '2' ? '3' : '2';
-  WriteFile(path, bytes);
+  WriteFile(log, bytes);
   try {
     ResultStore store(path);
     FAIL() << "bit-flipped record replayed without error";
@@ -94,24 +110,26 @@ TEST(CorruptionMatrixTest, BitFlipInRecordIsDetectedWithLineNumber) {
 }
 
 TEST(CorruptionMatrixTest, GarbledCrcFieldOnTerminatedLineIsDetected) {
-  std::string path = FreshStore("badcrc_store.jsonl", 2);
-  std::string bytes = ReadFile(path);
+  std::string path = FreshStore("badcrc_store", 2);
+  const std::string log = OnlyLogFile(path);
+  std::string bytes = ReadFile(log);
   size_t pos = bytes.find("\"crc32c\":\"");
   ASSERT_NE(pos, std::string::npos);
   bytes[pos + 10] = 'Z';  // not lowercase hex: malformed checksum
-  WriteFile(path, bytes);
+  WriteFile(log, bytes);
   EXPECT_THROW(ResultStore store(path), StoreCorruptError);
 }
 
 TEST(CorruptionMatrixTest, TornTailSelfHealsEvenInsideTheCrcField) {
-  std::string path = FreshStore("torn_store.jsonl", 3);
-  std::string whole = ReadFile(path);
+  std::string path = FreshStore("torn_store", 3);
+  const std::string log = OnlyLogFile(path);
+  std::string whole = ReadFile(log);
   // Tear the file INSIDE the last record's checksum field: the torn line
   // fails its CRC shape check, but as the unterminated tail it must be
   // dropped as a crashed append, not reported as corruption.
   size_t last_crc = whole.rfind("\"crc32c\":\"");
   ASSERT_NE(last_crc, std::string::npos);
-  WriteFile(path, whole.substr(0, last_crc + 14));
+  WriteFile(log, whole.substr(0, last_crc + 14));
   {
     ResultStore healed(path);
     EXPECT_EQ(healed.Size(), 2u);
@@ -125,14 +143,17 @@ TEST(CorruptionMatrixTest, TornTailSelfHealsEvenInsideTheCrcField) {
 }
 
 TEST(CorruptionMatrixTest, LegacyVersion1StoreWithoutChecksumsReplays) {
-  std::string path = FreshStore("legacy_store.jsonl", 3);
+  std::string path = FreshStore("legacy_store", 3);
   std::string want;
   {
     ResultStore modern(path);
     want = Fingerprint(modern);
   }
   // Rewrite as a version-1 log: header says 1, records carry no crc field.
-  std::string bytes = ReadFile(path);
+  // Version-1 stores predate segments: the log is a hand-made base file.
+  const std::string log = OnlyLogFile(path);
+  std::string bytes = ReadFile(log);
+  fs::remove(log);
   size_t vpos = bytes.find("\"version\":2");
   ASSERT_NE(vpos, std::string::npos);
   bytes.replace(vpos, 11, "\"version\":1");
@@ -158,18 +179,18 @@ TEST(CorruptionMatrixTest, LegacyVersion1StoreWithoutChecksumsReplays) {
 }
 
 TEST(CorruptionMatrixTest, FutureVersionIsRejected) {
-  std::string path = FreshStore("future_store.jsonl", 1);
-  std::string bytes = ReadFile(path);
+  std::string path = FreshStore("future_store", 1);
+  const std::string log = OnlyLogFile(path);
+  std::string bytes = ReadFile(log);
   size_t vpos = bytes.find("\"version\":2");
   ASSERT_NE(vpos, std::string::npos);
   bytes.replace(vpos, 11, "\"version\":9");
-  WriteFile(path, bytes);
+  WriteFile(log, bytes);
   EXPECT_THROW(ResultStore store(path), StoreCorruptError);
 }
 
 TEST(CorruptionMatrixTest, ErrorRecordsRoundTripAndReadBackAsErrors) {
-  std::string path = TempPath("error_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("error_store");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 2.5);
@@ -199,8 +220,7 @@ TEST(CorruptionMatrixTest, ErrorRecordsRoundTripAndReadBackAsErrors) {
 }
 
 TEST(CorruptionMatrixTest, CompactDropsSupersededRecordsAndPreservesReplay) {
-  std::string path = TempPath("compact_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("compact_store");
   {
     ResultStore store(path);
     for (int pass = 0; pass < 5; ++pass) {
@@ -210,7 +230,7 @@ TEST(CorruptionMatrixTest, CompactDropsSupersededRecordsAndPreservesReplay) {
     }
     store.AppendError(MakeKey("LD", 0.5, 0), "permanent", "boom", 1);
   }
-  const auto bytes_before = fs::file_size(path);
+  const auto bytes_before = LogBytes(DirOf(path));
   std::string want;
   {
     ResultStore store(path);
@@ -234,8 +254,7 @@ TEST(CorruptionMatrixTest, CompactDropsSupersededRecordsAndPreservesReplay) {
 }
 
 TEST(CorruptionMatrixTest, StaleCompactTmpFilesAreSweptOnOpen) {
-  std::string path = TempPath("tmpsweep_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("tmpsweep_store");
   { ResultStore store(path); }
   std::string orphan = path + ".compact.tmp.12345";
   WriteFile(orphan, "half-written compaction\n");
@@ -245,8 +264,7 @@ TEST(CorruptionMatrixTest, StaleCompactTmpFilesAreSweptOnOpen) {
 
 TEST(CorruptionMatrixTest, InvalidFsyncPolicyEnvAborts) {
   ASSERT_EQ(::setenv("SPARSIFY_STORE_FSYNC", "sometimes", 1), 0);
-  std::string path = TempPath("fsync_env_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("fsync_env_store");
   EXPECT_THROW(ResultStore store(path), std::invalid_argument);
   ASSERT_EQ(::setenv("SPARSIFY_STORE_FSYNC", "always", 1), 0);
   {
@@ -260,8 +278,7 @@ TEST(CorruptionMatrixTest, InvalidFsyncPolicyEnvAborts) {
 TEST(CorruptionMatrixTest, BitFlippedGraphCacheIsRejectedByContentHash) {
   Rng rng(123);
   Graph g = ErdosRenyi(200, 800, /*directed=*/false, rng);
-  std::string path = TempPath("flip_cache.spgc");
-  fs::remove(path);
+  std::string path = UniqueTestDir("cache") + "/flip_cache.spgc";
   WriteGraphCache(g, path);
   Graph back = ReadGraphCache(path);
   EXPECT_EQ(GraphContentHash(back), GraphContentHash(g));

@@ -4,7 +4,6 @@
 // and the healed sweep is bit-identical to a cold run that never failed.
 // Faults are injected through the failpoint subsystem, so the engine code
 // under test is the shipped code, not a test double.
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -13,15 +12,12 @@
 #include "src/graph/datasets.h"
 #include "src/metrics/basic.h"
 #include "src/util/failpoint.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
+using testing_util::UniqueTestDir;
 
 // Consumes the per-unit RNG stream: any seed drift between a cold run, a
 // retried run, and a resumed run changes the value.
@@ -85,8 +81,7 @@ TEST_F(FaultTolerantSweepTest, FailFastModeStillThrows) {
 }
 
 TEST_F(FaultTolerantSweepTest, FailedMetricIsRecordedAndOthersComplete) {
-  std::string dir = TempPath("ft_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("ft_store");
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = TestConfig();
 
@@ -154,8 +149,7 @@ TEST_F(FaultTolerantSweepTest, TransientFailureRetriesToBitIdenticalValue) {
 }
 
 TEST_F(FaultTolerantSweepTest, ExhaustedRetriesRecordTheTransientClass) {
-  std::string dir = TempPath("ft_transient_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("ft_transient_store");
   ResultStore store(ResultStore::PathInDir(dir));
   fail::ArmFromSpec("engine.metric_unit/m_bad=throw-transient");
   ResumableSweep sweep(runner_, &store, "test-rev");
@@ -175,8 +169,7 @@ TEST_F(FaultTolerantSweepTest, ExhaustedRetriesRecordTheTransientClass) {
 }
 
 TEST_F(FaultTolerantSweepTest, SparsifierFailureFailsItsCellsWithoutRetry) {
-  std::string dir = TempPath("ft_score_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("ft_score_store");
   ResultStore store(ResultStore::PathInDir(dir));
   // Score-group faults hit everything downstream of one sparsifier; they
   // are structural (not per-unit), so no retry — the cells just fail.

@@ -8,7 +8,6 @@
 // NestedParallelFor (the within-metric BFS-batch fan-out primitive) and
 // the MetricFn thread-safety audit regression.
 #include <atomic>
-#include <filesystem>
 #include <stdexcept>
 #include <vector>
 
@@ -21,15 +20,12 @@
 #include "src/metrics/distance.h"
 #include "src/sparsifiers/sparsifier.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
+using testing_util::UniqueTestDir;
 
 // ---------------------------------------------------------------------------
 // NestedParallelFor — the primitive metrics use to fan BFS batches out.
@@ -419,8 +415,7 @@ TEST_F(MultiMetricSweepTest, MultiSweepEqualsUnionOfSingleMetricSweeps) {
 }
 
 TEST_F(MultiMetricSweepTest, ResumingWithMoreMetricsSubmitsOnlyNewUnits) {
-  std::string dir = TempPath("more_metrics_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("more_metrics_store");
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = Config();
   std::vector<SweepMetric> metrics = TwoMetrics();
@@ -477,8 +472,7 @@ TEST_F(MultiMetricSweepTest, ColdAndResumedBitIdenticalAcrossThreadCounts) {
       ExpectSeriesBitIdentical(reference[m].series, out[m].series);
     }
     // Interrupted-at-one-metric + resumed at this thread count.
-    std::string dir = TempPath("threads_store_" + std::to_string(threads));
-    fs::remove_all(dir);
+    std::string dir = UniqueTestDir("threads_store_" + std::to_string(threads));
     ResultStore store(ResultStore::PathInDir(dir));
     ResumableSweep resumed(runner, &store, "test-rev");
     resumed.Run(graph_, "fb@0.1", metrics[1].name, config, metrics[1].fn);

@@ -5,7 +5,6 @@
 // byte-identical CSV with tracing on vs off).
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,15 +20,12 @@
 #include "src/obs/profile.h"
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
+using testing_util::UniqueTestDir;
 
 // ---------------------------------------------------------------------
 // Minimal JSON validator — enough of RFC 8259 to certify the trace
@@ -399,8 +395,7 @@ TEST(ObsTrace, SweepCsvIsByteIdenticalWithTracingOn) {
   };
 
   auto run_to_csv = [&](const std::string& dir_name, bool tracing) {
-    std::string dir = TempPath(dir_name);
-    fs::remove_all(dir);
+    std::string dir = UniqueTestDir(dir_name);
     if (tracing) obs::StartTracing();
     std::string csv;
     {
@@ -518,8 +513,7 @@ TEST(ObsProgress, CallbackFiresPerSubmittedUnitAndSkipsCachedRuns) {
     return static_cast<double>(h.NumEdges()) /
            static_cast<double>(std::max<EdgeId>(1, g.NumEdges()));
   };
-  std::string dir = TempPath("obs_progress_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("obs_progress_store");
   ResultStore store(ResultStore::PathInDir(dir));
   BatchRunner runner(2);
   ResumableSweep sweep(runner, &store, "test-rev");

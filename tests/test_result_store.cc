@@ -3,20 +3,45 @@
 // to exactly the fully-written cells, never throw, and stay appendable.
 #include "src/store/result_store.h"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "gtest/gtest.h"
 #include "src/util/errors.h"
+#include "src/util/lease.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
 namespace fs = std::filesystem;
+using testing_util::LogFiles;
+using testing_util::UniqueTestDir;
 
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
+// The base-file path of a fresh store directory unique to this test.
+std::string StorePath(const std::string& name) {
+  return ResultStore::PathInDir(UniqueTestDir(name));
+}
+
+// The one log file a single writer session left in `path`'s directory.
+std::string OnlyLogFile(const std::string& path) {
+  std::vector<std::string> files =
+      LogFiles(fs::path(path).parent_path().string());
+  EXPECT_EQ(files.size(), 1u);
+  return files.empty() ? std::string() : files.front();
+}
+
+// The pid of a child that already exited and was reaped: provably dead.
+long DeadPid() {
+  const pid_t pid = ::fork();
+  if (pid == 0) std::_Exit(0);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return static_cast<long>(pid);
 }
 
 std::string ReadFile(const std::string& path) {
@@ -44,16 +69,14 @@ CellKey MakeKey(const std::string& sparsifier, double rate, int run) {
 }
 
 TEST(ResultStoreTest, MissingFileIsEmptyStore) {
-  std::string path = TempPath("missing_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("missing_store");
   ResultStore store(path);
   EXPECT_EQ(store.Size(), 0u);
   EXPECT_FALSE(store.Contains(MakeKey("RN", 0.1, 0)));
 }
 
 TEST(ResultStoreTest, AppendLookupRoundTrip) {
-  std::string path = TempPath("roundtrip_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("roundtrip_store");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1002, 0.123456789012345678);
@@ -76,8 +99,7 @@ TEST(ResultStoreTest, AppendLookupRoundTrip) {
 }
 
 TEST(ResultStoreTest, NonFiniteValuesRoundTrip) {
-  std::string path = TempPath("nonfinite_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("nonfinite_store");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1,
@@ -90,8 +112,7 @@ TEST(ResultStoreTest, NonFiniteValuesRoundTrip) {
 }
 
 TEST(ResultStoreTest, DuplicateKeyLastWriteWins) {
-  std::string path = TempPath("dup_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("dup_store");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
@@ -106,8 +127,7 @@ TEST(ResultStoreTest, DuplicateKeyLastWriteWins) {
 }
 
 TEST(ResultStoreTest, EscapedStringsRoundTrip) {
-  std::string path = TempPath("escape_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("escape_store");
   CellKey key = MakeKey("RN", 0.5, 0);
   key.dataset = "odd \"name\"\twith\\escapes\n";
   {
@@ -120,7 +140,7 @@ TEST(ResultStoreTest, EscapedStringsRoundTrip) {
 }
 
 TEST(ResultStoreTest, BadHeaderIsFatal) {
-  std::string path = TempPath("badheader_store.jsonl");
+  std::string path = StorePath("badheader_store");
   WriteFile(path, "{\"format\":\"something-else\",\"version\":1}\n");
   EXPECT_THROW(ResultStore{path}, std::runtime_error);
   WriteFile(path, "not json at all\n");
@@ -128,86 +148,97 @@ TEST(ResultStoreTest, BadHeaderIsFatal) {
 }
 
 TEST(ResultStoreTest, UnsupportedVersionIsFatal) {
-  std::string path = TempPath("version_store.jsonl");
+  std::string path = StorePath("version_store");
   WriteFile(path, "{\"format\":\"sparsify-result-store\",\"version\":99}\n");
   EXPECT_THROW(ResultStore{path}, std::runtime_error);
 }
 
 TEST(ResultStoreTest, MidFileCorruptionIsFatal) {
-  std::string path = TempPath("corrupt_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("corrupt_store");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
     store.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
   }
-  std::string content = ReadFile(path);
+  const std::string log = OnlyLogFile(path);
+  std::string content = ReadFile(log);
   // Corrupt the FIRST record (a complete, newline-terminated line): that is
   // not a crash artifact, and replay must refuse rather than guess.
   size_t first_record = content.find('\n') + 1;
   content[first_record + 5] = '\x01';
-  WriteFile(path, content);
+  WriteFile(log, content);
   EXPECT_THROW(ResultStore{path}, std::runtime_error);
 }
 
-// The crash-simulation contract: truncating the log at EVERY byte boundary
-// of the last record must (a) never throw, (b) recover exactly the
-// fully-written records, and (c) leave the store appendable.
+// The crash-simulation contract: truncating a log file at EVERY byte
+// boundary of its last record must (a) never throw, (b) recover exactly
+// the fully-written records, and (c) leave the store appendable. One rule
+// covers every writerless file: a legacy base file, and the segment of a
+// writer whose lease names a dead pid.
 TEST(ResultStoreTest, TruncationAtEveryByteOfLastRecordRecovers) {
-  std::string path = TempPath("crash_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("crash_store");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.5);
     store.Append(MakeKey("RN", 0.2, 0), 0.2, 2.5);
     store.Append(MakeKey("LD", 0.3, 0), 0.3, 3.5);
   }
-  std::string content = ReadFile(path);
+  std::string content = ReadFile(OnlyLogFile(path));
   ASSERT_EQ(content.back(), '\n');
   // Start of the last record line.
   size_t last_start = content.rfind('\n', content.size() - 2) + 1;
   size_t last_json_end = content.size() - 1;  // position of closing newline
 
-  for (size_t cut = last_start; cut <= content.size(); ++cut) {
-    std::string prefix = content.substr(0, cut);
-    std::string trial = TempPath("crash_trial.jsonl");
-    WriteFile(trial, prefix);
-
-    // (a) replay never throws, (b) exact prefix of records recovered. A
-    // cut at or past the final '}' leaves a complete record that merely
-    // lost its newline; it must be recovered too. The first store must
-    // close before the reopen below: open stores hold an exclusive
-    // inter-process lock.
-    size_t expected = cut >= last_json_end ? 3u : 2u;
-    {
-      ResultStore store(trial);
-      EXPECT_EQ(store.Size(), expected) << "cut=" << cut;
-      EXPECT_TRUE(store.Contains(MakeKey("RN", 0.1, 0))) << "cut=" << cut;
-      EXPECT_TRUE(store.Contains(MakeKey("RN", 0.2, 0))) << "cut=" << cut;
-      EXPECT_EQ(store.Contains(MakeKey("LD", 0.3, 0)), expected == 3u)
-          << "cut=" << cut;
-      if (expected == 2u) {
-        EXPECT_EQ(store.DroppedTailBytes(), cut - last_start)
-            << "cut=" << cut;
+  const std::string dead_writer = lease::NewWriterId();
+  const long dead_pid = DeadPid();
+  for (const bool legacy_base : {true, false}) {
+    for (size_t cut = last_start; cut <= content.size(); ++cut) {
+      std::string prefix = content.substr(0, cut);
+      std::string trial = StorePath("crash_trial");
+      const std::string trial_dir = fs::path(trial).parent_path().string();
+      if (legacy_base) {
+        WriteFile(trial, prefix);
+      } else {
+        WriteFile(trial_dir + "/log." + dead_writer + ".0.jsonl", prefix);
+        lease::LeaseInfo dead;
+        dead.writer = dead_writer;
+        dead.pid = dead_pid;
+        lease::WriteLease(trial_dir, dead);
       }
+      const std::string where = std::string(legacy_base ? "base" : "segment") +
+                                " cut=" + std::to_string(cut);
 
-      // (c) appending after the crash repairs the file: a fresh replay
-      // sees the recovered records plus the new one, and no torn bytes
-      // remain.
-      store.Append(MakeKey("GS", 0.4, 0), 0.4, 4.5);
+      // (a) replay never throws, (b) exact prefix of records recovered. A
+      // cut at or past the final '}' leaves a complete record that merely
+      // lost its newline; it must be recovered too.
+      size_t expected = cut >= last_json_end ? 3u : 2u;
+      {
+        ResultStore store(trial);
+        EXPECT_EQ(store.Size(), expected) << where;
+        EXPECT_TRUE(store.Contains(MakeKey("RN", 0.1, 0))) << where;
+        EXPECT_TRUE(store.Contains(MakeKey("RN", 0.2, 0))) << where;
+        EXPECT_EQ(store.Contains(MakeKey("LD", 0.3, 0)), expected == 3u)
+            << where;
+        if (expected == 2u) {
+          EXPECT_EQ(store.DroppedTailBytes(), cut - last_start) << where;
+        }
+
+        // (c) the writable open sealed the file: a fresh replay sees the
+        // recovered records plus the new one, and no torn bytes remain.
+        store.Append(MakeKey("GS", 0.4, 0), 0.4, 4.5);
+      }
+      ResultStore reopened(trial);
+      EXPECT_EQ(reopened.Size(), expected + 1) << where;
+      EXPECT_EQ(reopened.DroppedTailBytes(), 0u) << where;
+      EXPECT_EQ(reopened.Lookup(MakeKey("GS", 0.4, 0))->value, 4.5) << where;
     }
-    ResultStore reopened(trial);
-    EXPECT_EQ(reopened.Size(), expected + 1) << "cut=" << cut;
-    EXPECT_EQ(reopened.DroppedTailBytes(), 0u) << "cut=" << cut;
-    EXPECT_EQ(reopened.Lookup(MakeKey("GS", 0.4, 0))->value, 4.5)
-        << "cut=" << cut;
   }
 }
 
 // A crash can also tear the header of a brand-new store; that must behave
 // like an empty store and be repaired by the first append.
 TEST(ResultStoreTest, TornHeaderOnlyFileRecoversEmpty) {
-  std::string path = TempPath("tornheader_store.jsonl");
+  std::string path = StorePath("tornheader_store");
   WriteFile(path, "{\"format\":\"sparsify-re");  // no newline: torn tail
   {
     ResultStore store(path);
@@ -220,14 +251,13 @@ TEST(ResultStoreTest, TornHeaderOnlyFileRecoversEmpty) {
   EXPECT_EQ(reopened.DroppedTailBytes(), 0u);
 }
 
-TEST(ResultStoreTest, OpenInDirCreatesDirectory) {
-  std::string dir = TempPath("store_dir/nested");
-  fs::remove_all(TempPath("store_dir"));
+TEST(ResultStoreTest, PathInDirCreatesNestedDirectory) {
+  std::string dir = (fs::path(UniqueTestDir("store_dir")) / "nested").string();
   {
     ResultStore store(ResultStore::PathInDir(dir));
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
   }
-  ResultStore reopened = ResultStore::OpenInDir(dir);
+  ResultStore reopened(ResultStore::PathInDir(dir));
   EXPECT_EQ(reopened.Size(), 1u);
   EXPECT_EQ(reopened.Path(),
             (fs::path(dir) / ResultStore::DefaultFileName()).string());
@@ -239,20 +269,27 @@ TEST(ResultStoreTest, SecondWriterCoexistsAndRecordsMerge) {
   // own segment file instead of failing with "locked by another
   // process". Each writer sees its peer's records (after RefreshPeers or
   // a fresh replay), and neither disturbs the other.
-  fs::path dir = fs::path(::testing::TempDir()) / "coop_store_dir";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  std::string path = ResultStore::PathInDir(dir.string());
+  const std::string parent = UniqueTestDir("stores");
+  const std::string dir = parent + "/coop";
+  std::string path = ResultStore::PathInDir(dir);
   ResultStore store(path);
   store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
 
   {
     ResultStore second(path);
     EXPECT_NE(second.WriterId(), store.WriterId());
-    // The peer's base record replayed into the second writer's view.
+    // The peer's record replayed into the second writer's view.
     EXPECT_EQ(second.Size(), 1u);
     second.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
     EXPECT_EQ(second.Size(), 2u);
+
+    // A store is its directory: a sibling store under the same parent
+    // sees none of the two live writers' cells, and no other file name
+    // in the directory opens a store at all.
+    ResultStore sibling(ResultStore::PathInDir(parent + "/sibling"));
+    EXPECT_EQ(sibling.Size(), 0u);
+    EXPECT_EQ(sibling.SegmentCount(), 0u);
+    EXPECT_THROW(ResultStore{dir + "/other.jsonl"}, std::invalid_argument);
 
     // The first writer's view is untouched until it polls its peers.
     EXPECT_EQ(store.Size(), 1u);
@@ -274,8 +311,7 @@ TEST(ResultStoreTest, SecondWriterCoexistsAndRecordsMerge) {
 }
 
 TEST(ResultStoreTest, LeaseReleasesOnCloseAndOnFailedOpen) {
-  std::string path = TempPath("relock_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("relock_store");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
@@ -285,8 +321,8 @@ TEST(ResultStoreTest, LeaseReleasesOnCloseAndOnFailedOpen) {
 
   // A constructor that throws during replay (corrupt mid-file) must also
   // release the lock, or the path would wedge for the whole process.
-  std::string bad = TempPath("relock_corrupt.jsonl");
-  std::string content = ReadFile(path);
+  std::string bad = StorePath("relock_corrupt");
+  std::string content = ReadFile(OnlyLogFile(path));
   size_t header_end = content.find('\n') + 1;
   WriteFile(bad, content.substr(0, header_end) + "not json\n" +
                      content.substr(header_end));
@@ -303,8 +339,7 @@ TEST(ResultStoreTest, CodeRevBumpNeverReusesOldCells) {
   // cells computed by the r1 pipeline must be cache misses for this
   // binary, never silently mixed with r2 values.
   ASSERT_STRNE(kResultCodeRev, "r1");
-  std::string path = TempPath("code_rev_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("code_rev_store");
   ResultStore store(path);
 
   CellKey old_rev = MakeKey("RN", 0.1, 0);
@@ -333,8 +368,7 @@ TEST(ResultStoreTest, StaleRevCellsNeverSatisfyCurrentLookups) {
   // of them to the current pipeline (not even for rng-free metrics —
   // revisions are keyed wholesale, not per metric).
   ASSERT_STREQ(kResultCodeRev, "r4");
-  std::string path = TempPath("r2_r3_store.jsonl");
-  fs::remove(path);
+  std::string path = StorePath("r2_r3_store");
   ResultStore store(path);
 
   for (double rate : {0.1, 0.5, 0.9}) {

@@ -3,7 +3,6 @@
 // engine (scheduling-count hook), and export byte-identical CSV.
 #include "src/engine/resumable_sweep.h"
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -11,15 +10,12 @@
 #include "src/cli/store_export.h"
 #include "src/graph/datasets.h"
 #include "src/metrics/basic.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
+using testing_util::UniqueTestDir;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -98,8 +94,7 @@ TEST_F(ResumableSweepTest, SubsetRunMatchesFullGridSeeds) {
 }
 
 TEST_F(ResumableSweepTest, WarmStoreSubmitsZeroCells) {
-  std::string dir = TempPath("warm_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("warm_store");
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = TestConfig();
   MetricFn metric = SampledMetric();
@@ -141,8 +136,7 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
       cold_sweep.Run(graph_, "fb@0.1", "quad5", config, metric);
 
   // Uninterrupted store-backed run -> store A.
-  std::string dir_a = TempPath("cold_store");
-  fs::remove_all(dir_a);
+  std::string dir_a = UniqueTestDir("cold_store");
   ResultStore store_a(ResultStore::PathInDir(dir_a));
   {
     ResumableSweep sweep(runner_, &store_a, "test-rev");
@@ -152,7 +146,9 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
 
   // Simulate a crash after roughly half the cells: store B's log is store
   // A's header + first half of its records + a torn fragment of the next.
-  std::string content = ReadFile(store_a.Path());
+  const std::vector<std::string> logs_a = testing_util::LogFiles(dir_a);
+  ASSERT_EQ(logs_a.size(), 1u);
+  std::string content = ReadFile(logs_a.front());
   std::vector<size_t> line_starts;
   for (size_t pos = 0; pos < content.size();) {
     line_starts.push_back(pos);
@@ -165,8 +161,7 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
   std::string torn = content.substr(0, keep_end + 25);  // mid-next-record
   ASSERT_LT(keep_end + 25, content.size());
 
-  std::string dir_b = TempPath("resume_store");
-  fs::remove_all(dir_b);
+  std::string dir_b = UniqueTestDir("resume_store");
   std::string path_b = ResultStore::PathInDir(dir_b);
   WriteFile(path_b, torn);
 
@@ -205,8 +200,7 @@ TEST_F(ResumableSweepTest, DifferentGridShapeReusesCells) {
   // (GroupSeed + MetricSeed) since r3, and it is load-bearing for
   // sharding — shard workers partition different task subsets but must
   // agree on every unit's identity. This test pins the reuse contract.
-  std::string dir = TempPath("gridshape_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("gridshape_store");
   ResultStore store(ResultStore::PathInDir(dir));
   MetricFn metric = SampledMetric();
 
@@ -248,8 +242,7 @@ TEST_F(ResumableSweepTest, DifferentGridShapeReusesCells) {
 }
 
 TEST_F(ResumableSweepTest, WriteOnlyModeRecomputesButPersists) {
-  std::string dir = TempPath("writeonly_store");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("writeonly_store");
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = TestConfig();
   MetricFn metric = SampledMetric();
@@ -275,8 +268,7 @@ TEST_F(ResumableSweepTest, NullStoreRunsCold) {
   auto series = sweep.Run(graph_, "fb@0.1", "quad5", config, metric, &stats);
   EXPECT_EQ(stats.cached_cells, 0u);
 
-  std::string dir = TempPath("nullstore_ref");
-  fs::remove_all(dir);
+  std::string dir = UniqueTestDir("nullstore_ref");
   ResultStore store(ResultStore::PathInDir(dir));
   ResumableSweep backed(runner_, &store, "test-rev");
   ExpectSeriesBitIdentical(
