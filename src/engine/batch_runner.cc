@@ -407,7 +407,10 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
             SubtaskPoolScope subtasks(&impl_->pool);
             double value = metrics[m].fn(*input_for.at(task.sparsifier),
                                          *cell_graph[i], metric_rng);
-            results[i].values[slot] = BatchMetricValue{m, value};
+            BatchMetricValue done;
+            done.metric = m;
+            done.value = value;
+            results[i].values[slot] = std::move(done);
             ok = true;
             if (on_result) {
               on_result(task, results[i].achieved_prune_rate, m, value);

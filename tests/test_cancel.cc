@@ -25,6 +25,7 @@
 #include "src/graph/traversal.h"
 #include "src/metrics/basic.h"
 #include "src/sparsifiers/effective_resistance.h"
+#include "src/sparsifiers/t_spanner.h"
 #include "src/util/errors.h"
 #include "src/util/failpoint.h"
 #include "src/util/thread_pool.h"
@@ -175,6 +176,21 @@ TEST_F(KernelCancelTest, ErScoringObservesDeadlineBeforeAnyCgSolve) {
   EffectiveResistanceSparsifier er(/*reweight=*/false);
   Rng rng(42);
   EXPECT_THROW(er.PrepareScores(g, rng), DeadlineExceededError);
+}
+
+TEST_F(KernelCancelTest, TSpannerScoringObservesCancellation) {
+  Rng gen(12);
+  Graph unit = ErdosRenyi(300, 1200, /*directed=*/false, gen);
+  Graph weighted = WithRandomWeights(unit, 5.0, gen);
+  CancelToken token;
+  token.Cancel();
+  CancelScope scope(&token);
+  TSpannerSparsifier sp(3.0);
+  Rng rng(42);
+  // Both kernels poll before their first edge: the BFS (unit weights)
+  // and the one-sided Dijkstra (real weights).
+  EXPECT_THROW(sp.PrepareScores(unit, rng), CancelledError);
+  EXPECT_THROW(sp.PrepareScores(weighted, rng), CancelledError);
 }
 
 TEST_F(KernelCancelTest, NestedParallelForPropagatesTheCallerToken) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/linalg/laplacian.h"
 #include "src/metrics/components.h"
@@ -237,6 +238,52 @@ TEST(TSpannerTest, PreservesConnectivity) {
 
 TEST(TSpannerTest, InvalidStretchThrows) {
   EXPECT_THROW(TSpannerSparsifier(1.0), std::invalid_argument);
+  EXPECT_THROW(TSpannerSparsifier(std::nan("")), std::invalid_argument);
+}
+
+// Golden pins: kept-edge count and 64-bit FNV-1a hash of the SP-t keep-mask,
+// recorded with the per-edge Dijkstra greedy before the BFS kernel replaced
+// it. Any change to scan order or the accept test moves them.
+uint64_t MaskHash(const std::vector<uint8_t>& keep) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : keep) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct SpannerGolden {
+  const char* dataset;
+  double scale;
+  double t;
+  size_t kept;
+  uint64_t hash;
+};
+
+TEST(TSpannerGoldenTest, KeepMasksMatchRecordedPins) {
+  const SpannerGolden kPins[] = {
+      // Unit weights: the bidirectional BFS kernel.
+      {"ego-Facebook", 1.0, 3, 9106, 0x57ec75d44332c431ULL},
+      {"ego-Facebook", 1.0, 5, 2565, 0x628d4795645f289cULL},
+      {"ego-Facebook", 1.0, 7, 2052, 0x9406819cc9dc09bdULL},
+      // Real weights: the one-sided bounded Dijkstra kernel.
+      {"human_gene2", 0.25, 3, 565, 0xaa89b598de5bb3feULL},
+      {"human_gene2", 0.25, 5, 460, 0xa0fd77103c8f2729ULL},
+      {"human_gene2", 0.25, 7, 415, 0x9a1394590cff8458ULL},
+  };
+  for (const SpannerGolden& pin : kPins) {
+    Graph g = LoadDatasetScaled(pin.dataset, pin.scale).graph;
+    ASSERT_EQ(g.IsWeighted(), std::string(pin.dataset) == "human_gene2");
+    Rng rng(0);
+    TSpannerSparsifier sp(pin.t);
+    std::vector<uint8_t> keep =
+        sp.MaskForRate(*sp.PrepareScores(g, rng), 0.0).keep;
+    size_t kept = std::count(keep.begin(), keep.end(), uint8_t{1});
+    SCOPED_TRACE(std::string(pin.dataset) + " t=" + std::to_string(pin.t));
+    EXPECT_EQ(kept, pin.kept);
+    EXPECT_EQ(MaskHash(keep), pin.hash) << std::hex << MaskHash(keep);
+  }
 }
 
 // --------------------------------------------------------------------------
