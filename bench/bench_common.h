@@ -8,8 +8,10 @@
 //                 concurrency; output is identical at any thread count)
 //   --seed=<n>    master seed of the sweep grid (default 42)
 //   --csv         emit CSV rows instead of pivot tables
-//   --store=<dir> persist every completed cell to dir/results.jsonl
-//   --resume      consult the store first; schedule only missing cells
+//   --store=<dir> persist every completed unit in the store directory
+//                 dir (the sweep appends to a log segment of its own;
+//                 `sparsify_cli compact` folds them into dir/results.jsonl)
+//   --resume      consult the store first; schedule only missing units
 //
 // Unknown --flags are an error, not a silent no-op: a typo like
 // `--thread=8` must abort instead of quietly running a default config.
@@ -24,6 +26,7 @@
 
 #include "src/cli/figures.h"
 #include "src/engine/batch_runner.h"
+#include "src/engine/resumable_sweep.h"
 #include "src/eval/experiment.h"
 #include "src/graph/datasets.h"
 #include "src/obs/trace.h"
@@ -181,9 +184,12 @@ inline BenchOptions ParseOptions(int argc, char** argv,
 
 /// Runs one figure's sweep and prints it in the requested format. Used by
 /// benches whose metrics need bench-local state (e.g. the GNN training
-/// protocol); registry figures go through FigureBenchMain instead.
+/// protocol); registry figures go through FigureBenchMain instead. The
+/// sweep's cells are named like the CLI's — dataset `name@scale`, metric
+/// `value_name` — which also seeds their metric streams.
 inline void RunFigure(const std::string& title, const std::string& value_name,
-                      const Graph& g, const std::vector<std::string>& sparsifiers,
+                      const Dataset& d,
+                      const std::vector<std::string>& sparsifiers,
                       const BenchOptions& opt, const MetricFn& metric,
                       std::optional<double> reference = std::nullopt,
                       std::vector<double> rates = {0.1, 0.2, 0.3, 0.4, 0.5,
@@ -197,7 +203,9 @@ inline void RunFigure(const std::string& title, const std::string& value_name,
   // otherwise pay pool setup/teardown for each); sized by the first call's
   // --threads, which is constant within a bench run.
   static BatchRunner runner(opt.threads);
-  auto series = RunSweep(g, config, metric, runner);
+  std::vector<SweepSeries> series = ResumableSweep(runner, nullptr)
+      .Run(d.graph, cli::DatasetCellName(d.info.name, opt.scale),
+           value_name, config, metric);
   if (opt.csv) {
     PrintSeriesCsv(std::cout, title, series);
   } else {

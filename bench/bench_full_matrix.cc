@@ -22,6 +22,7 @@
 
 #include "bench/bench_common.h"
 #include "src/engine/batch_runner.h"
+#include "src/engine/resumable_sweep.h"
 #include "src/metrics/basic.h"
 #include "src/metrics/centrality.h"
 #include "src/metrics/clustering.h"
@@ -120,9 +121,16 @@ void Run(int argc, char** argv) {
   }
   if (!outdir.empty()) std::filesystem::create_directories(outdir);
 
-  // One engine (and thread pool) shared across every (dataset, metric)
-  // sweep; per-cell seeding keeps output identical at any --threads value.
+  // One engine (and thread pool) shared across every dataset's sweep;
+  // identity-derived seeding keeps output identical at any --threads value.
   BatchRunner runner(threads);
+  std::vector<SweepMetric> metrics;
+  for (const std::string& metric_name : metric_names) {
+    metrics.push_back(
+        SweepMetric{metric_name, MatrixMetrics().at(metric_name)});
+  }
+  SweepConfig config;
+  config.runs_nondeterministic = runs;
 
   Timer total;
   size_t data_points = 0;
@@ -134,18 +142,21 @@ void Run(int argc, char** argv) {
                "value,stddev,runs\n";
   for (const std::string& dataset_name : datasets) {
     Dataset d = LoadDatasetScaled(dataset_name, scale);
-    for (const std::string& metric_name : metric_names) {
-      const MetricFn& metric = MatrixMetrics().at(metric_name);
-      SweepConfig config;
-      config.runs_nondeterministic = runs;
-      auto series = RunSweep(d.graph, config, metric, runner);
+    // One multi-metric sweep per dataset: each subgraph is built once and
+    // every selected metric evaluated on it.
+    std::vector<MetricSweepSeries> per_metric =
+        ResumableSweep(runner, nullptr)
+            .RunMulti(d.graph, cli::DatasetCellName(dataset_name, scale),
+                      metrics, config);
+    for (const MetricSweepSeries& m : per_metric) {
+      const std::string& metric_name = m.metric;
       std::ofstream csv;
       if (!outdir.empty()) {
         csv.open(outdir + "/" + dataset_name + "_" + metric_name + ".csv");
         csv << "sparsifier,prune_rate,achieved_prune_rate,value,stddev,"
                "runs\n";
       }
-      for (const SweepSeries& s : series) {
+      for (const SweepSeries& s : m.series) {
         for (const SweepPoint& p : s.points) {
           ++data_points;
           std::cout << dataset_name << "," << metric_name << ","

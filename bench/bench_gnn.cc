@@ -71,7 +71,7 @@ void Run(int argc, char** argv) {
     bench::RunFigure(
         "Figure 13a: GraphSAGE AUROC on ogbn-proteins "
         "(train sparsified, test full)",
-        "AUROC", d.graph, {"RN", "LD", "RD", "GS", "LSim", "SCAN"}, opt,
+        "AUROC", d, {"RN", "LD", "RD", "GS", "LSim", "SCAN"}, opt,
         [&data, &full](const Graph&, const Graph& sparsified, Rng& rng) {
           return TrainSageAndScore(sparsified, full, data, /*auroc=*/true,
                                    rng);
@@ -101,7 +101,7 @@ void Run(int argc, char** argv) {
     bench::RunFigure(
         "Figure 13b: ClusterGCN Accuracy on Reddit "
         "(train sparsified, test full)",
-        "acc", d.graph, {"RN", "LD", "RD", "FF", "GS", "SCAN"}, opt,
+        "acc", d, {"RN", "LD", "RD", "FF", "GS", "SCAN"}, opt,
         [&data, &full](const Graph&, const Graph& sparsified, Rng& rng) {
           return TrainClusterGcnAndScore(sparsified, full, data, rng);
         },

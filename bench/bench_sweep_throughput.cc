@@ -2,11 +2,13 @@
 // batch engine.
 //
 // Section 1 — rate axis (score-once). For each selected sparsifier it runs
-// the paper's 9-rate sweep grid twice on the same BatchRunner —
-//   cold:   share_scores(false), the pre-sharing per-cell path (every cell
-//           rescoring from scratch), and
-//   shared: share_scores(true), one PrepareScores per (sparsifier, run)
-//           with the rate axis fanned out as MaskForRate tasks —
+// the paper's 9-rate sweep grid twice —
+//   cold:   a ParallelFor over the cells on a ThreadPool(--threads), each
+//           cell a standalone Sparsifier::Sparsify (scoring from scratch)
+//           plus the metric — the per-cell path without any sharing, and
+//   shared: one BatchRunner::RunTasksMulti pass, one PrepareScores per
+//           (sparsifier, run) with the rate axis fanned out as
+//           MaskForRate tasks —
 // and reports cells/sec, the score/subgraph/metric wall-clock split, and
 // the cold/shared speedup per algorithm.
 //
@@ -41,6 +43,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,6 +52,7 @@
 #include "src/cli/metrics.h"
 #include "src/engine/batch_runner.h"
 #include "src/graph/datasets.h"
+#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace sparsify::bench {
@@ -142,6 +146,26 @@ bool ParseSweepBenchArgs(int argc, char** argv, SweepBenchOptions* opt) {
   return true;
 }
 
+// Section 1's cold baseline: every cell sparsified from scratch by a
+// standalone Sparsify, then evaluated, with no work shared between cells.
+// Directed input is symmetrized for undirected-only sparsifiers, as the
+// engine does.
+void RunColdCells(ThreadPool& pool, const Graph& g,
+                  const std::vector<BatchTask>& tasks, uint64_t seed,
+                  const BatchMetricFn& metric) {
+  ParallelFor(pool, tasks.size(), [&](size_t i) {
+    const BatchTask& task = tasks[i];
+    std::unique_ptr<Sparsifier> sparsifier = CreateSparsifier(task.sparsifier);
+    const bool symmetrize =
+        g.IsDirected() && !sparsifier->Info().supports_directed;
+    Graph symmetrized = symmetrize ? g.Symmetrized() : Graph();
+    const Graph& input = symmetrize ? symmetrized : g;
+    Rng rng(BatchRunner::GroupSeed(seed, task.sparsifier, task.run));
+    Graph sparsified = sparsifier->Sparsify(input, task.prune_rate, rng);
+    metric(input, sparsified, rng);
+  });
+}
+
 std::string Json(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -175,6 +199,9 @@ int SweepThroughputMain(int argc, char** argv) {
   };
 
   BatchRunner runner(opt.threads);
+  ThreadPool cold_pool(opt.threads);
+  const std::vector<BatchMetric> edge_ratio = {BatchMetric{"edge_ratio",
+                                                           metric}};
   std::vector<AlgoResult> results;
   for (const std::string& algo : opt.algos) {
     BatchSpec spec;
@@ -187,16 +214,14 @@ int SweepThroughputMain(int argc, char** argv) {
     r.name = algo;
     r.cells = tasks.size();
     for (int rep = 0; rep < opt.repeat; ++rep) {
-      runner.set_share_scores(false);
       Timer cold_timer;
-      runner.RunTasks(d.graph, tasks, spec.master_seed, metric);
+      RunColdCells(cold_pool, d.graph, tasks, spec.master_seed, metric);
       double cold = cold_timer.Seconds();
 
-      runner.set_share_scores(true);
       BatchRunStats stats;
       Timer shared_timer;
-      runner.RunTasks(d.graph, tasks, spec.master_seed, metric, nullptr,
-                      &stats);
+      runner.RunTasksMulti(d.graph, dataset_key, tasks, spec.master_seed,
+                           edge_ratio, nullptr, &stats);
       double shared = shared_timer.Seconds();
 
       if (rep == 0 || cold < r.cold_seconds) r.cold_seconds = cold;
@@ -236,7 +261,6 @@ int SweepThroughputMain(int argc, char** argv) {
 
   MultiMetricResult mm;
   mm.cells = multi_tasks.size();
-  runner.set_share_scores(true);
   for (int rep = 0; rep < opt.repeat; ++rep) {
     // Baseline: per-metric re-sparsification — each metric runs its own
     // engine pass, re-scoring and re-materializing every subgraph (the

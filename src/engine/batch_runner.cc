@@ -53,15 +53,54 @@ std::chrono::milliseconds RetryBackoff(int attempt) {
   return std::chrono::milliseconds(std::min<uint64_t>(ms, 100));
 }
 
+// A failed unit of work, classified from the exception in flight.
+struct UnitFailure {
+  std::string error_class;  // "deadline" | "cancelled" | "transient" |
+                            // "permanent"
+  std::string message;      // what() of the exception
+  // A deadline or cancel raised while the run token is down: the whole
+  // run is going down, so the unit is skipped, not failed.
+  bool run_cancelled = false;
+};
+
+// The engine's one failure classifier; call only from a catch block.
+// DeadlineExceededError derives from CancelledError, so it is tested
+// first. A deadline or cancel raised while the run token is down is the
+// run's cancellation, not the unit's failure. The rule holds at every
+// site: score and subgraph stages hold the run token ambient, so their
+// deadline can only be the run's, while a metric unit's own
+// --unit-timeout trips with the run still up and fails just that unit.
+UnitFailure ClassifyInFlight(bool run_cancelled) {
+  try {
+    throw;
+  } catch (const DeadlineExceededError& e) {
+    return {"deadline", e.what(), run_cancelled};
+  } catch (const CancelledError& e) {
+    return {"cancelled", e.what(), run_cancelled};
+  } catch (const TransientError& e) {
+    return {"transient", e.what(), false};
+  } catch (const std::exception& e) {
+    return {"permanent", e.what(), false};
+  } catch (...) {
+    return {"permanent", "unknown error", false};
+  }
+}
+
+uint64_t SplitMix(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 }  // namespace
 
 struct BatchRunner::Impl {
   explicit Impl(int num_threads) : pool(num_threads) {}
-  // Serializes Run: the pool's completion tracking is batch-global, so two
-  // concurrent batches would wait on (and steal errors from) each other.
+  // Serializes RunTasksMulti: the pool's completion tracking is
+  // batch-global, so two concurrent batches would wait on (and steal
+  // errors from) each other.
   std::mutex run_mu;
   mutable ThreadPool pool;
-  bool share_scores = true;
 };
 
 BatchRunner::BatchRunner(int num_threads)
@@ -75,35 +114,12 @@ ThreadPoolStats BatchRunner::PoolStats() const { return impl_->pool.Stats(); }
 
 void BatchRunner::ResetPoolStats() { impl_->pool.ResetStats(); }
 
-void BatchRunner::set_share_scores(bool share) {
-  impl_->share_scores = share;
-}
-
-bool BatchRunner::share_scores() const { return impl_->share_scores; }
-
-namespace {
-
-uint64_t SplitMix(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-uint64_t BatchRunner::TaskSeed(uint64_t master_seed, uint64_t index) {
-  // SplitMix64 over the combined pair. The golden-ratio stride separates
-  // consecutive indices far apart in the seed space; Rng's own seed mixing
-  // then decorrelates the streams.
-  return SplitMix(master_seed + (index + 1) * 0x9e3779b97f4a7c15ULL);
-}
-
 uint64_t BatchRunner::GroupSeed(uint64_t master_seed,
                                 const std::string& sparsifier, int run) {
-  // FNV-1a over the name, folded with the run index, then the same
-  // SplitMix finalizer as TaskSeed. Intentionally independent of grid
-  // shape and cell indices: any subset of a group's rate cells prepares
-  // the same ScoreState.
+  // FNV-1a over the name, folded with the run index, then a SplitMix64
+  // finalizer. Intentionally independent of grid shape and cell
+  // positions: any subset of a group's rate cells prepares the same
+  // ScoreState.
   uint64_t h = 1469598103934665603ULL;
   for (char c : sparsifier) {
     h ^= static_cast<unsigned char>(c);
@@ -159,7 +175,6 @@ std::vector<BatchTask> BatchRunner::ExpandGrid(const BatchSpec& spec) {
     for (double rate : rates) {
       for (int run = 0; run < runs; ++run) {
         BatchTask task;
-        task.index = tasks.size();
         task.sparsifier = name;
         task.prune_rate = rate;
         task.run = run;
@@ -170,50 +185,11 @@ std::vector<BatchTask> BatchRunner::ExpandGrid(const BatchSpec& spec) {
   return tasks;
 }
 
-std::vector<BatchResult> BatchRunner::Run(const Graph& g,
-                                          const BatchSpec& spec,
-                                          const BatchMetricFn& metric) const {
-  return RunTasks(g, ExpandGrid(spec), spec.master_seed, metric);
-}
-
-std::vector<BatchResult> BatchRunner::RunTasks(
-    const Graph& g, const std::vector<BatchTask>& tasks, uint64_t master_seed,
-    const BatchMetricFn& metric, const ResultCallback& on_result,
-    BatchRunStats* stats) const {
-  // Thin wrapper over the multi-metric path: one anonymous metric, every
-  // task evaluating it (per-task subsets are a multi-metric concept).
-  std::vector<BatchTask> plain = tasks;
-  for (BatchTask& task : plain) task.metrics.clear();
-  std::vector<BatchMetric> metrics;
-  metrics.push_back(BatchMetric{std::string(), metric});
-  MetricResultCallback on_unit = nullptr;
-  if (on_result) {
-    on_unit = [&on_result](const BatchTask& task, double achieved, uint32_t,
-                           double value) {
-      BatchResult r;
-      r.task = task;
-      r.achieved_prune_rate = achieved;
-      r.value = value;
-      on_result(r);
-    };
-  }
-  std::vector<BatchMultiResult> multi =
-      RunTasksMulti(g, std::string(), plain, master_seed, metrics, on_unit,
-                    stats);
-  std::vector<BatchResult> results(multi.size());
-  for (size_t i = 0; i < multi.size(); ++i) {
-    results[i].task = std::move(multi[i].task);
-    results[i].achieved_prune_rate = multi[i].achieved_prune_rate;
-    results[i].value = multi[i].values[0].value;
-  }
-  return results;
-}
-
 std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     const Graph& g, const std::string& dataset,
     const std::vector<BatchTask>& tasks, uint64_t master_seed,
     const std::vector<BatchMetric>& metrics,
-    const MetricResultCallback& on_result, BatchRunStats* stats,
+    const UnitCallback& on_result, BatchRunStats* stats,
     const FaultPolicy& faults) const {
   if (metrics.empty()) {
     throw std::invalid_argument("RunTasksMulti: metric list is empty");
@@ -287,49 +263,51 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     return run_cancel != nullptr && run_cancel->Cancelled();
   };
 
-  // Tolerant-mode handling of a failed score-group or subgraph stage:
-  // every dependent unit of cell i is marked failed (no retry — scoring
-  // is re-run wholesale by a resumed sweep, not per unit). Only the
-  // worker owning cell i calls this, so the result slots need no lock.
-  auto fail_cell = [&](size_t i, const std::string& error_class,
-                       const std::string& error_message) {
-    const BatchTask& task = results[i].task;
-    for (size_t slot = 0; slot < ids_of[i]->size(); ++slot) {
-      BatchMetricValue v;
-      v.metric = (*ids_of[i])[slot];
-      v.failed = true;
-      v.error_class = error_class;
-      v.error_message = error_message;
-      v.attempts = 1;
-      results[i].values[slot] = std::move(v);
-      failed_units.fetch_add(1, std::memory_order_relaxed);
-      if (error_class == "transient") {
-        transient_failed_units.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (error_class == "deadline") {
-        deadline_units.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (faults.on_unit_failure) {
-        faults.on_unit_failure(task, (*ids_of[i])[slot], error_class,
-                               error_message, 1);
-      }
+  // The failure path. Every stage site has one catch (...): fail-fast
+  // mode rethrows (the pool records the first error, Wait rethrows it);
+  // tolerant mode classifies the exception (ClassifyInFlight) and settles
+  // the affected slots through the two routines below. Only the worker
+  // owning a slot writes it, so the slots need no lock.
+  //
+  // A failed unit: reported through on_unit_failure (the sweep records an
+  // error record) and counted by class.
+  auto fail_slot = [&](size_t i, size_t slot, const UnitFailure& f,
+                       int attempts) {
+    const uint32_t m = (*ids_of[i])[slot];
+    results[i].values[slot] =
+        BatchMetricValue{m, 0.0, true, f.error_class, f.message, attempts};
+    failed_units.fetch_add(1, std::memory_order_relaxed);
+    if (f.error_class == "transient") {
+      transient_failed_units.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (f.error_class == "deadline") {
+      deadline_units.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (faults.on_unit_failure) {
+      faults.on_unit_failure(results[i].task, m, f.error_class, f.message,
+                             attempts);
     }
   };
-
-  // Run-level cancellation of cell i's units. The slots are still marked
-  // failed (a default slot would fold as metric-0 value 0.0) but this is
-  // NOT a failure: on_unit_failure is not invoked and nothing is
-  // recorded, so a resumed sweep resubmits exactly these units. Only the
-  // worker owning cell i calls this.
-  auto cancel_cell = [&](size_t i) {
+  // A unit skipped or interrupted by run-level cancellation. The slot is
+  // still marked failed (a default slot would read as metric-0 value 0.0)
+  // but this is NOT a failure: on_unit_failure is not invoked and nothing
+  // is recorded, so a resumed sweep resubmits exactly these units.
+  auto cancel_slot = [&](size_t i, size_t slot) {
+    results[i].values[slot] = BatchMetricValue{
+        (*ids_of[i])[slot], 0.0, true, "cancelled", "run cancelled", 0};
+    cancelled_units.fetch_add(1, std::memory_order_relaxed);
+  };
+  // Every unit of cell i, after its score group or subgraph stage failed
+  // (`f`) or was skipped by run-level cancellation (null `f`). Stage
+  // failures never retry: scoring is re-run wholesale by a resumed sweep,
+  // not per unit.
+  auto settle_cell = [&](size_t i, const UnitFailure* f) {
     for (size_t slot = 0; slot < ids_of[i]->size(); ++slot) {
-      BatchMetricValue v;
-      v.metric = (*ids_of[i])[slot];
-      v.failed = true;
-      v.error_class = "cancelled";
-      v.error_message = "run cancelled";
-      results[i].values[slot] = std::move(v);
-      cancelled_units.fetch_add(1, std::memory_order_relaxed);
+      if (f == nullptr || f->run_cancelled) {
+        cancel_slot(i, slot);
+      } else {
+        fail_slot(i, slot, *f, 1);
+      }
     }
   };
 
@@ -345,13 +323,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
         uint32_t m = (*ids_of[i])[slot];
         if (run_cancelled()) {
           // Skipped before starting. Still release the subgraph chain.
-          BatchMetricValue v;
-          v.metric = m;
-          v.failed = true;
-          v.error_class = "cancelled";
-          v.error_message = "run cancelled";
-          results[i].values[slot] = std::move(v);
-          cancelled_units.fetch_add(1, std::memory_order_relaxed);
+          cancel_slot(i, slot);
           if (units_left[i].fetch_sub(1, std::memory_order_acq_rel) == 1) {
             cell_graph[i].reset();
           }
@@ -368,14 +340,9 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
           span.Arg("run", std::to_string(task.run));
         }
         Timer unit_timer;
-        bool ok = false;
-        bool cancelled = false;  // run-level: skip, don't fail
-        std::string error_class, error_message;
-        int attempts = 0;
         const bool cancellable =
             run_cancel != nullptr || faults.unit_timeout_seconds > 0;
-        while (true) {
-          ++attempts;
+        for (int attempts = 1;; ++attempts) {
           // Per-attempt unit token: parented under the run token so a
           // run-level cancel interrupts the unit at its next check, with
           // a fresh --unit-timeout deadline each attempt. Declared
@@ -411,86 +378,30 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
             done.metric = m;
             done.value = value;
             results[i].values[slot] = std::move(done);
-            ok = true;
             if (on_result) {
               on_result(task, results[i].achieved_prune_rate, m, value);
             }
-            break;
-          } catch (const DeadlineExceededError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;  // recorded as the pool's first error, rethrown by Wait
-            }
-            if (run_cancelled()) {
-              cancelled = true;  // the whole run is going down, not just us
-            } else {
-              error_class = "deadline";  // no retry: it would time out again
-            }
-            error_message = e.what();
-            break;
-          } catch (const CancelledError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            if (run_cancelled()) {
-              cancelled = true;
-            } else {
-              error_class = "cancelled";
-            }
-            error_message = e.what();
-            break;
-          } catch (const TransientError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;  // recorded as the pool's first error, rethrown by Wait
-            }
-            error_class = "transient";
-            error_message = e.what();
-            if (attempts > faults.max_unit_retries) break;
-            retried_units.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(RetryBackoff(attempts));
-          } catch (const std::exception& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            error_class = "permanent";
-            error_message = e.what();
             break;
           } catch (...) {
             if (!tolerate) {
               failed.store(true, std::memory_order_relaxed);
               throw;
             }
-            error_class = "permanent";
-            error_message = "unknown error";
+            UnitFailure f = ClassifyInFlight(run_cancelled());
+            if (f.run_cancelled) {
+              cancel_slot(i, slot);  // the run is going down, not this unit
+              break;
+            }
+            // Only transient unit failures retry; a deadline would time
+            // out again and anything else is deterministic.
+            if (f.error_class == "transient" &&
+                attempts <= faults.max_unit_retries) {
+              retried_units.fetch_add(1, std::memory_order_relaxed);
+              std::this_thread::sleep_for(RetryBackoff(attempts));
+              continue;
+            }
+            fail_slot(i, slot, f, attempts);
             break;
-          }
-        }
-        if (!ok) {
-          BatchMetricValue v;
-          v.metric = m;
-          v.failed = true;
-          v.error_class = cancelled ? "cancelled" : error_class;
-          v.error_message = error_message;
-          v.attempts = attempts;
-          results[i].values[slot] = std::move(v);
-          if (cancelled) {
-            // Not a failure: nothing recorded, resume resubmits the unit.
-            cancelled_units.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            failed_units.fetch_add(1, std::memory_order_relaxed);
-            if (error_class == "transient") {
-              transient_failed_units.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (error_class == "deadline") {
-              deadline_units.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (faults.on_unit_failure) {
-              faults.on_unit_failure(task, m, error_class, error_message,
-                                     attempts);
-            }
           }
         }
         double unit_seconds = unit_timer.Seconds();
@@ -508,105 +419,6 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
       });
     }
   };
-
-  if (!impl_->share_scores) {
-    // Legacy per-cell scoring: every cell re-sparsifies from scratch with
-    // its own (master_seed, index)-derived stream. Kept as the throughput
-    // benchmark's baseline and for A/B debugging; the metric fan-out (and
-    // its MetricSeed streams) is identical to the shared path, so
-    // deterministic sparsifiers stay bit-identical across modes.
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      impl_->pool.Submit([&, i] {
-        if (failed.load(std::memory_order_relaxed)) return;
-        if (run_cancelled()) {
-          cancel_cell(i);
-          return;
-        }
-        TRACE_SPAN(span, "subgraph");
-        if (span.active()) {
-          span.Detail(results[i].task.sparsifier);
-          span.Arg("rate", FormatRate(results[i].task.prune_rate));
-        }
-        CancelScope cancel_scope(run_cancel);
-        ActivityScope activity("subgraph", results[i].task.sparsifier,
-                               run_cancel);
-        Timer build_timer;
-        bool built = false;
-        try {
-          const BatchTask& task = results[i].task;
-          const Graph& input = *input_for.at(task.sparsifier);
-          SPARSIFY_FAILPOINT_SCOPED("engine.subgraph",
-                                    task.sparsifier.c_str());
-          Rng task_rng(TaskSeed(master_seed, task.index));
-          Rng sparsify_rng = task_rng.Fork();
-          std::unique_ptr<Sparsifier> sparsifier =
-              CreateSparsifier(task.sparsifier);
-          Graph sparsified =
-              sparsifier->Sparsify(input, task.prune_rate, sparsify_rng);
-          results[i].achieved_prune_rate =
-              Sparsifier::AchievedPruneRate(input, sparsified);
-          cell_graph[i].emplace(std::move(sparsified));
-          built = true;
-        } catch (const CancelledError& e) {
-          if (!tolerate) {
-            failed.store(true, std::memory_order_relaxed);
-            throw;
-          }
-          if (run_cancelled()) {
-            cancel_cell(i);
-          } else {
-            fail_cell(i, "cancelled", e.what());
-          }
-        } catch (const TransientError& e) {
-          if (!tolerate) {
-            failed.store(true, std::memory_order_relaxed);
-            throw;
-          }
-          fail_cell(i, "transient", e.what());
-        } catch (const std::exception& e) {
-          if (!tolerate) {
-            failed.store(true, std::memory_order_relaxed);
-            throw;
-          }
-          fail_cell(i, "permanent", e.what());
-        } catch (...) {
-          if (!tolerate) {
-            failed.store(true, std::memory_order_relaxed);
-            throw;
-          }
-          fail_cell(i, "permanent", "unknown error");
-        }
-        double build_seconds = build_timer.Seconds();
-        EngineObs& eobs = GetEngineObs();
-        eobs.subgraph_builds.Add();
-        eobs.subgraph_ns.Record(static_cast<uint64_t>(build_seconds * 1e9));
-        {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          subgraph_seconds += build_seconds;
-        }
-        if (built) submit_metric_units(i);
-      });
-    }
-    impl_->pool.Wait();
-    if (stats != nullptr) {
-      *stats = BatchRunStats{};
-      stats->cells = tasks.size();
-      stats->metric_units = metric_units;
-      stats->score_groups = tasks.size();  // every cell rescored
-      stats->subgraph_builds = tasks.size();
-      stats->failed_units = failed_units.load(std::memory_order_relaxed);
-      stats->transient_failed_units =
-          transient_failed_units.load(std::memory_order_relaxed);
-      stats->deadline_exceeded_units =
-          deadline_units.load(std::memory_order_relaxed);
-      stats->cancelled_units =
-          cancelled_units.load(std::memory_order_relaxed);
-      stats->retried_units = retried_units.load(std::memory_order_relaxed);
-      stats->subgraph_seconds = subgraph_seconds;
-      stats->metric_seconds = metric_seconds;
-    }
-    return results;
-  }
 
   // Group the cells by (sparsifier, run): one ScoreState per group, shared
   // read-only across that group's rate cells. std::map keeps group order
@@ -657,10 +469,11 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
   // Determinism is untouched by any of this scheduling: group scoring
   // streams derive from (master_seed, sparsifier, run) — deterministic
   // sparsifiers ignore them entirely, keeping their cells bit-identical
-  // to the per-cell path — and each (cell, metric) unit's stream derives
-  // from MetricSeed. MaskForRate is const and re-entrant, so one group's
-  // cells can threshold the shared state concurrently; the subgraph is
-  // immutable once built, so one cell's metrics can read it concurrently.
+  // to a standalone Sparsify — and each (cell, metric) unit's stream
+  // derives from MetricSeed. MaskForRate is const and re-entrant, so one
+  // group's cells can threshold the shared state concurrently; the
+  // subgraph is immutable once built, so one cell's metrics can read it
+  // concurrently.
   std::vector<std::atomic<size_t>> cells_left(groups.size());
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     cells_left[gi].store(cells_of[gi].size(), std::memory_order_relaxed);
@@ -670,7 +483,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     impl_->pool.Submit([&, gi] {
       if (failed.load(std::memory_order_relaxed)) return;
       if (run_cancelled()) {
-        for (size_t i : cells_of[gi]) cancel_cell(i);
+        for (size_t i : cells_of[gi]) settle_cell(i, nullptr);
         return;
       }
       Group& group = groups[gi];
@@ -691,36 +504,13 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
         Rng group_rng(GroupSeed(master_seed, group.sparsifier, group.run));
         group.state = group.instance->PrepareScores(*group.input, group_rng);
         scored = true;
-      } catch (const CancelledError& e) {
-        if (!tolerate) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;
-        }
-        if (run_cancelled()) {
-          for (size_t i : cells_of[gi]) cancel_cell(i);
-        } else {
-          for (size_t i : cells_of[gi]) fail_cell(i, "cancelled", e.what());
-        }
-      } catch (const TransientError& e) {
-        if (!tolerate) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;  // recorded as the pool's first error, rethrown by Wait
-        }
-        for (size_t i : cells_of[gi]) fail_cell(i, "transient", e.what());
-      } catch (const std::exception& e) {
-        if (!tolerate) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;
-        }
-        for (size_t i : cells_of[gi]) fail_cell(i, "permanent", e.what());
       } catch (...) {
         if (!tolerate) {
           failed.store(true, std::memory_order_relaxed);
           throw;
         }
-        for (size_t i : cells_of[gi]) {
-          fail_cell(i, "permanent", "unknown error");
-        }
+        UnitFailure f = ClassifyInFlight(run_cancelled());
+        for (size_t i : cells_of[gi]) settle_cell(i, &f);
       }
       double group_seconds = score_timer.Seconds();
       EngineObs& eobs = GetEngineObs();
@@ -736,7 +526,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
           Group& cell_group = groups[gi];
           if (failed.load(std::memory_order_relaxed)) return;
           if (run_cancelled()) {
-            cancel_cell(i);
+            settle_cell(i, nullptr);
             if (cells_left[gi].fetch_sub(1, std::memory_order_acq_rel) ==
                 1) {
               cell_group.state.reset();
@@ -765,34 +555,13 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
                 Sparsifier::AchievedPruneRate(*cell_group.input, sparsified);
             cell_graph[i].emplace(std::move(sparsified));
             built = true;
-          } catch (const CancelledError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            if (run_cancelled()) {
-              cancel_cell(i);
-            } else {
-              fail_cell(i, "cancelled", e.what());
-            }
-          } catch (const TransientError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            fail_cell(i, "transient", e.what());
-          } catch (const std::exception& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            fail_cell(i, "permanent", e.what());
           } catch (...) {
             if (!tolerate) {
               failed.store(true, std::memory_order_relaxed);
               throw;
             }
-            fail_cell(i, "permanent", "unknown error");
+            UnitFailure f = ClassifyInFlight(run_cancelled());
+            settle_cell(i, &f);
           }
           double build_seconds = build_timer.Seconds();
           EngineObs& eobs = GetEngineObs();

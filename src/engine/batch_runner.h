@@ -50,24 +50,23 @@ struct BatchMetric {
 
 /// One expanded cell of the grid.
 struct BatchTask {
-  uint64_t index = 0;        // position in the expanded grid; legacy
-                             // per-cell seeds derive from this, never from
-                             // execution order
   std::string sparsifier;    // short name (see SparsifierNames)
   double prune_rate = 0.0;   // requested rate passed to MaskForRate
   int run = 0;               // 0-based repeat index for this cell
-  // RunTasksMulti only: indices into its metric list to evaluate on this
-  // cell; empty means every metric. The resumable sweep submits the
-  // per-cell subset missing from its store. Ignored by single-metric
-  // RunTasks. Ids must be distinct and in range.
+  // Indices into RunTasksMulti's metric list to evaluate on this cell;
+  // empty means every metric. The resumable sweep submits the per-cell
+  // subset missing from its store. Ids must be distinct and in range.
   std::vector<uint32_t> metrics;
 };
 
-/// Result of one task, in the same grid position.
+/// One metric's result on one grid cell, as FoldSweepResults folds it.
+/// A unit that failed or was cancelled stays unresolved and drops out of
+/// the fold.
 struct BatchResult {
   BatchTask task;
   double achieved_prune_rate = 0.0;
   double value = 0.0;  // metric output
+  bool resolved = false;
 };
 
 /// One metric's output on one cell of a multi-metric run. Under a
@@ -101,15 +100,12 @@ struct BatchSpec {
   uint64_t master_seed = 42;
 };
 
-/// Scheduling counters of one RunTasks/RunTasksMulti call: how much work
-/// the rate-axis (scoring) and metric-axis (subgraph) sharing saved, and
-/// where the time went. The CI perf smoke asserts score_groups < cells on
-/// a multi-rate grid and subgraph_builds < metric_units on a multi-metric
+/// Scheduling counters of one RunTasksMulti call: how much work the
+/// rate-axis (scoring) and metric-axis (subgraph) sharing saved, and where
+/// the time went. The CI perf smoke asserts score_groups < cells on a
+/// multi-rate grid and subgraph_builds < metric_units on a multi-metric
 /// one. The timings are summed task durations across workers
-/// (single-threaded they equal wall clock). With share_scores(false)
-/// every cell re-runs scoring fused into its Sparsify call: score_groups
-/// reports one group per cell and score_seconds stays zero (the fused
-/// time lands in subgraph_seconds).
+/// (single-threaded they equal wall clock).
 struct BatchRunStats {
   size_t cells = 0;            // tasks executed
   size_t metric_units = 0;     // (cell, metric) evaluations scheduled
@@ -128,8 +124,7 @@ struct BatchRunStats {
                                // recorded, a resume resubmits them
   size_t retried_units = 0;    // transient-failure retries performed
   double score_seconds = 0;     // summed duration of group scoring tasks
-  double subgraph_seconds = 0;  // summed mask + Apply (or fused Sparsify)
-                                // durations
+  double subgraph_seconds = 0;  // summed mask + Apply durations
   double metric_seconds = 0;    // summed metric evaluation durations
 };
 
@@ -197,25 +192,9 @@ class BatchRunner {
   /// Zeroes the pool counters so a profile run measures only itself.
   void ResetPoolStats();
 
-  /// When false, every cell recomputes its scores with the legacy
-  /// per-cell RNG scheme (seed = (master_seed, cell index)) instead of
-  /// sharing one ScoreState per (sparsifier, run). This is the pre-sharing
-  /// execution model, kept for the throughput benchmark's baseline and for
-  /// A/B debugging; note randomized sparsifiers produce different (equally
-  /// valid) samples in the two modes. Default true.
-  void set_share_scores(bool share);
-  bool share_scores() const;
-
   /// Expands `spec` into the task grid. Deterministic and thread-free;
   /// exposed so callers can inspect or shard the grid.
   static std::vector<BatchTask> ExpandGrid(const BatchSpec& spec);
-
-  /// Seed of task `index` under `master_seed` (SplitMix64 of the pair).
-  /// Independent of thread count and execution order by construction.
-  /// Since the r3 pipeline revision this only feeds the per-cell sparsify
-  /// streams of the share_scores(false) baseline; metric streams come from
-  /// MetricSeed.
-  static uint64_t TaskSeed(uint64_t master_seed, uint64_t index);
 
   /// Seed of the shared scoring stream of group (sparsifier, run) under
   /// `master_seed`. Depends only on these three values — not on the grid
@@ -233,52 +212,21 @@ class BatchRunner {
                              const std::string& sparsifier, double prune_rate,
                              int run, const std::string& metric);
 
-  /// Invoked as each task finishes, from the worker thread that ran it
-  /// (concurrently across workers — the callback must synchronize its own
-  /// state; ResultStore::Append already does).
-  using ResultCallback = std::function<void(const BatchResult&)>;
-
-  /// Runs every task of `spec` on `g`, returning results in grid order.
-  ///
-  /// When `g` is directed, sparsifiers whose SparsifierInfo does not
-  /// support directed input receive the symmetrized graph (computed once,
-  /// shared), and the metric's `original` is then also the symmetrized
-  /// graph — the same routing the sequential sweep performs (paper
-  /// sections 3.1, 4.5). Exceptions from any task propagate.
-  ///
-  /// Thread-safe: concurrent Run calls on one runner serialize against
-  /// each other (the pool's completion tracking is batch-global).
-  std::vector<BatchResult> Run(const Graph& g, const BatchSpec& spec,
-                               const BatchMetricFn& metric) const;
-
-  /// Runs an explicit task list — typically a subset of ExpandGrid's
-  /// output. A thin wrapper over RunTasksMulti with one anonymous metric
-  /// (dataset "" and metric name "" in MetricSeed), kept for callers that
-  /// sweep a single unnamed metric (RunSweep, benches, tests); any
-  /// task.metrics subsets are ignored. Group scoring streams derive from
-  /// (master_seed, sparsifier, run) and metric streams from MetricSeed, so
-  /// a subset run computes bit-identical values to the full grid. Results
-  /// are returned in `tasks` order; `on_result` (optional) fires per
-  /// completed cell; `stats` (optional) receives the scheduling counters.
-  std::vector<BatchResult> RunTasks(
-      const Graph& g, const std::vector<BatchTask>& tasks,
-      uint64_t master_seed, const BatchMetricFn& metric,
-      const ResultCallback& on_result = nullptr,
-      BatchRunStats* stats = nullptr) const;
-
   /// Invoked as each (cell, metric) unit finishes, from the worker thread
   /// that ran it (concurrently across workers — the callback must
   /// synchronize its own state). `metric` indexes the metric list.
-  using MetricResultCallback =
+  using UnitCallback =
       std::function<void(const BatchTask& task, double achieved_prune_rate,
                          uint32_t metric, double value)>;
 
-  /// Multi-metric task runner: materializes each task's sparsified
-  /// Subgraph exactly once and fans the task's metrics out as independent
-  /// units of work on the pool. Pipelined like the score→mask sharing:
-  /// the moment a cell's subgraph lands its metric units jump the queue
-  /// (SubmitUrgent) and the last unit frees the subgraph, so peak subgraph
-  /// residency stays bounded by the cells in flight, not the grid.
+  /// The engine's run entry point. Runs an explicit task list — the
+  /// ExpandGrid output or any subset of it — materializing each task's
+  /// sparsified Subgraph exactly once and fanning the task's metrics out
+  /// as independent units of work on the pool. Pipelined like the
+  /// score→mask sharing: the moment a cell's subgraph lands its metric
+  /// units jump the queue (SubmitUrgent) and the last unit frees the
+  /// subgraph, so peak subgraph residency stays bounded by the cells in
+  /// flight, not the grid.
   ///
   /// `dataset` is the caller's stable graph identity (the store's dataset
   /// key, e.g. "ego-Facebook@0.5"); it only feeds MetricSeed. Each unit's
@@ -290,16 +238,23 @@ class BatchRunner {
   /// CurrentSubtaskPool(), so sampled metrics fan their BFS batches out as
   /// subtasks (see eval::MetricFn's thread-safety contract).
   ///
+  /// When `g` is directed, sparsifiers whose SparsifierInfo does not
+  /// support directed input receive the symmetrized graph (computed once,
+  /// shared), and the metric's `original` is then also the symmetrized
+  /// graph (paper sections 3.1, 4.5).
+  ///
   /// Results are returned in `tasks` order with one value per requested
   /// metric id (task.metrics; empty = all) in that order. Throws
   /// std::invalid_argument when `metrics` is empty or a task names an
   /// out-of-range metric id. `faults` selects fail-fast (default) or
-  /// error-tolerant execution; see FaultPolicy.
+  /// error-tolerant execution; see FaultPolicy. Thread-safe: concurrent
+  /// calls on one runner serialize (the pool's completion tracking is
+  /// batch-global).
   std::vector<BatchMultiResult> RunTasksMulti(
       const Graph& g, const std::string& dataset,
       const std::vector<BatchTask>& tasks, uint64_t master_seed,
       const std::vector<BatchMetric>& metrics,
-      const MetricResultCallback& on_result = nullptr,
+      const UnitCallback& on_result = nullptr,
       BatchRunStats* stats = nullptr,
       const FaultPolicy& faults = FaultPolicy()) const;
 

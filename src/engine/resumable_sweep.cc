@@ -34,11 +34,15 @@ std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
   // Partition the (cell × metric) product: units already in the store
   // become results directly; each cell with at least one missing metric is
   // submitted ONCE, carrying exactly its missing metric ids, so the engine
-  // materializes its subgraph once for all of them. Submitted tasks keep
-  // their original grid indices, and every RNG stream derives from
-  // grid-shape-independent identities, so the values match a cold run's.
-  std::vector<std::vector<BatchResult>> results(metrics.size());
-  for (auto& per_metric : results) per_metric.resize(tasks.size());
+  // materializes its subgraph once for all of them. Every RNG stream
+  // derives from grid-shape-independent identities, so the values match a
+  // cold run's. Every slot carries its task; a unit that ends unresolved
+  // (failed or cancelled) drops out of the fold.
+  std::vector<std::vector<BatchResult>> results(
+      metrics.size(), std::vector<BatchResult>(tasks.size()));
+  for (auto& per_metric : results) {
+    for (size_t i = 0; i < tasks.size(); ++i) per_metric[i].task = tasks[i];
+  }
   size_t cached_units = 0;
   std::vector<BatchTask> missing;
   std::vector<size_t> missing_pos;  // grid position of each missing task
@@ -54,9 +58,9 @@ std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
       }
       if (cached.has_value()) {
         ++cached_units;
-        results[m][i].task = tasks[i];
         results[m][i].achieved_prune_rate = cached->achieved_prune_rate;
         results[m][i].value = cached->value;
+        results[m][i].resolved = true;
       } else {
         missing_ids.push_back(m);
       }
@@ -86,7 +90,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
     for (const SweepMetric& m : metrics) {
       engine_metrics.push_back(BatchMetric{m.name, m.fn});
     }
-    BatchRunner::MetricResultCallback on_unit = nullptr;
+    BatchRunner::UnitCallback on_unit = nullptr;
     std::atomic<size_t> completed_units{0};
     size_t submitted_units = total_units - cached_units;
     if (store_ != nullptr || progress_) {
@@ -134,14 +138,14 @@ std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
     for (size_t j = 0; j < fresh.size(); ++j) {
       size_t i = missing_pos[j];
       for (size_t slot = 0; slot < fresh[j].values.size(); ++slot) {
-        // Failed units (tolerant mode) keep the default-constructed slot:
-        // the returned series are complete minus the failures, and the
-        // store carries the error records for the next resume.
+        // Failed and cancelled units stay unresolved: the returned series
+        // fold the successes only, and the store carries the error
+        // records for the next resume.
         if (fresh[j].values[slot].failed) continue;
         uint32_t m = fresh[j].values[slot].metric;
-        results[m][i].task = tasks[i];
         results[m][i].achieved_prune_rate = fresh[j].achieved_prune_rate;
         results[m][i].value = fresh[j].values[slot].value;
+        results[m][i].resolved = true;
       }
     }
     if (stats != nullptr) {

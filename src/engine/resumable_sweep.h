@@ -155,8 +155,8 @@ class ResumableSweep {
   /// (cell, metric) RNG streams — callers must pick names that uniquely
   /// identify the graph (include the scale) and the metric functions.
   /// Fresh units are appended to the store as they complete; the returned
-  /// per-metric series (in `metrics` order) are folded exactly like
-  /// RunSweep's.
+  /// per-metric series (in `metrics` order) fold the successful units
+  /// exactly as `export` folds the store (FoldSweepResults).
   std::vector<MetricSweepSeries> RunMulti(const Graph& g,
                                           const std::string& dataset,
                                           const std::vector<SweepMetric>& metrics,

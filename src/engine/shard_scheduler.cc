@@ -176,7 +176,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
     size_t submitted = 0;
     for (const BatchTask& task : missing) submitted += task.metrics.size();
     accum.submitted_cells += submitted;
-    BatchRunner::MetricResultCallback on_unit =
+    BatchRunner::UnitCallback on_unit =
         [&](const BatchTask& task, double achieved, uint32_t m,
             double value) {
           store_->Append(key_of(task, metrics[m].name), achieved, value);
@@ -279,19 +279,20 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
 
   // --- Reassembly: fold own + peer records into the output series -----
   accum.peer_units += store_->RefreshPeers();
-  std::vector<std::vector<BatchResult>> results(metrics.size());
-  for (auto& per_metric : results) per_metric.resize(tasks.size());
+  std::vector<std::vector<BatchResult>> results(
+      metrics.size(), std::vector<BatchResult>(tasks.size()));
   for (size_t i = 0; i < tasks.size(); ++i) {
     for (size_t m = 0; m < metrics.size(); ++m) {
+      results[m][i].task = tasks[i];
       std::optional<StoredCell> cell =
           store_->Lookup(key_of(tasks[i], metrics[m].name));
       // Unresolved units (cancelled mid-run, or a failed unit's error
-      // record) keep the default slot, exactly like the unsharded
+      // record) drop out of the fold, exactly like the unsharded
       // fault-tolerant path.
       if (!cell.has_value() || cell->is_error) continue;
-      results[m][i].task = tasks[i];
       results[m][i].achieved_prune_rate = cell->achieved_prune_rate;
       results[m][i].value = cell->value;
+      results[m][i].resolved = true;
     }
   }
   accum.cached_cells = total_units - accum.submitted_cells;

@@ -9,12 +9,6 @@
 
 namespace sparsify {
 
-std::vector<SweepSeries> RunSweep(const Graph& g, const SweepConfig& config,
-                                  const MetricFn& metric) {
-  BatchRunner runner(config.num_threads);
-  return RunSweep(g, config, metric, runner);
-}
-
 BatchSpec ToBatchSpec(const SweepConfig& config) {
   BatchSpec spec;
   spec.sparsifiers = config.sparsifiers;
@@ -22,13 +16,6 @@ BatchSpec ToBatchSpec(const SweepConfig& config) {
   spec.runs = config.runs_nondeterministic;
   spec.master_seed = config.seed;
   return spec;
-}
-
-std::vector<SweepSeries> RunSweep(const Graph& g, const SweepConfig& config,
-                                  const MetricFn& metric,
-                                  BatchRunner& runner) {
-  return FoldSweepResults(config,
-                          runner.Run(g, ToBatchSpec(config), metric));
 }
 
 std::vector<SweepSeries> FoldSweepResults(
@@ -54,15 +41,21 @@ std::vector<SweepSeries> FoldSweepResults(
     while (i < end) {
       // run == 0 marks the start of each (name, rate) block in ExpandGrid's
       // ordering; grouping on it (rather than rate equality) keeps duplicate
-      // or NaN rates as separate points.
+      // or NaN rates as separate points. Every slot carries its task, so
+      // unresolved (failed or cancelled) units keep the grouping intact;
+      // they drop out of the statistics, and a point with no resolved run
+      // is omitted — the same fold `export` applies to a store.
       double rate = results[i].task.prune_rate;
       std::vector<double> values;
       std::vector<double> achieved;
       do {
-        values.push_back(results[i].value);
-        achieved.push_back(results[i].achieved_prune_rate);
+        if (results[i].resolved) {
+          values.push_back(results[i].value);
+          achieved.push_back(results[i].achieved_prune_rate);
+        }
         ++i;
       } while (i < end && results[i].task.run != 0);
+      if (values.empty()) continue;
       SweepPoint point;
       point.requested_prune_rate = rate;
       point.mean = Mean(values);

@@ -4,7 +4,6 @@
 #include "src/engine/batch_runner.h"
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -12,9 +11,12 @@
 
 #include "src/graph/generators.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
+
+using testing_util::RunOneMetric;
 
 // ---------------------------------------------------------------------------
 // ThreadPool / ParallelFor.
@@ -85,23 +87,14 @@ TEST(BatchRunnerTest, ExpandGridRespectsDeterminismAndControl) {
   // RN: 2 rates x 4 runs. LD deterministic: 2 rates x 1 run. SF no
   // prune-rate control and deterministic: 1 x 1.
   ASSERT_EQ(tasks.size(), 8u + 2u + 1u);
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    EXPECT_EQ(tasks[i].index, i) << "grid index must equal position";
-  }
+  // Sparsifier-major, then rate, then run.
   EXPECT_EQ(tasks[0].sparsifier, "RN");
+  EXPECT_EQ(tasks[3].run, 3);
+  EXPECT_EQ(tasks[4].prune_rate, 0.6);
+  EXPECT_EQ(tasks[4].run, 0);
   EXPECT_EQ(tasks[8].sparsifier, "LD");
   EXPECT_EQ(tasks[10].sparsifier, "SF");
   EXPECT_EQ(tasks[10].prune_rate, 0.0);
-}
-
-TEST(BatchRunnerTest, TaskSeedsAreDistinctAcrossIndicesAndSeeds) {
-  std::set<uint64_t> seeds;
-  for (uint64_t master : {0ull, 1ull, 42ull}) {
-    for (uint64_t index = 0; index < 1000; ++index) {
-      seeds.insert(BatchRunner::TaskSeed(master, index));
-    }
-  }
-  EXPECT_EQ(seeds.size(), 3000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -116,19 +109,20 @@ std::vector<BatchResult> RunGrid(int num_threads, uint64_t seed) {
   spec.runs = 3;
   spec.master_seed = seed;
   BatchRunner runner(num_threads);
-  return runner.Run(g, spec, [](const Graph& orig, const Graph& sp, Rng& rng) {
-    // Exercise the metric rng so stream misuse would show up as drift.
-    return static_cast<double>(sp.NumEdges()) /
-               static_cast<double>(orig.NumEdges()) +
-           1e-12 * rng.NextDouble();
-  });
+  return RunOneMetric(
+      runner, g, BatchRunner::ExpandGrid(spec), spec.master_seed,
+      [](const Graph& orig, const Graph& sp, Rng& rng) {
+        // Exercise the metric rng so stream misuse would show up as drift.
+        return static_cast<double>(sp.NumEdges()) /
+                   static_cast<double>(orig.NumEdges()) +
+               1e-12 * rng.NextDouble();
+      });
 }
 
 void ExpectIdentical(const std::vector<BatchResult>& a,
                      const std::vector<BatchResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].task.index, b[i].task.index);
     EXPECT_EQ(a[i].task.sparsifier, b[i].task.sparsifier);
     EXPECT_DOUBLE_EQ(a[i].task.prune_rate, b[i].task.prune_rate);
     EXPECT_EQ(a[i].task.run, b[i].task.run);
@@ -173,8 +167,9 @@ TEST(BatchRunnerTest, DirectedInputRoutedThroughSymmetrization) {
   spec.sparsifiers = {"SF", "ER-uw", "RN"};  // SF/ER undirected-only
   spec.prune_rates = {0.5};
   BatchRunner runner(4);
-  auto results = runner.Run(
-      g, spec, [](const Graph& orig, const Graph& sp, Rng&) {
+  auto results = RunOneMetric(
+      runner, g, BatchRunner::ExpandGrid(spec), spec.master_seed,
+      [](const Graph& orig, const Graph& sp, Rng&) {
         // Undirected-only cells must see the symmetrized pair.
         EXPECT_EQ(orig.IsDirected(), sp.IsDirected());
         return static_cast<double>(sp.NumEdges()) /
@@ -191,12 +186,12 @@ TEST(BatchRunnerTest, TaskExceptionPropagatesFromRun) {
   spec.sparsifiers = {"RN"};
   spec.prune_rates = {0.5};
   BatchRunner runner(2);
-  EXPECT_THROW(
-      runner.Run(g, spec,
-                 [](const Graph&, const Graph&, Rng&) -> double {
-                   throw std::runtime_error("metric failed");
-                 }),
-      std::runtime_error);
+  EXPECT_THROW(RunOneMetric(runner, g, BatchRunner::ExpandGrid(spec),
+                            spec.master_seed,
+                            [](const Graph&, const Graph&, Rng&) -> double {
+                              throw std::runtime_error("metric failed");
+                            }),
+               std::runtime_error);
 }
 
 }  // namespace

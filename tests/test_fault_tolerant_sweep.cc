@@ -5,12 +5,15 @@
 // Faults are injected through the failpoint subsystem, so the engine code
 // under test is the shipped code, not a test double.
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/cli/store_export.h"
 #include "src/engine/resumable_sweep.h"
 #include "src/graph/datasets.h"
 #include "src/metrics/basic.h"
+#include "src/util/errors.h"
 #include "src/util/failpoint.h"
 #include "tests/test_util.h"
 
@@ -42,6 +45,10 @@ void ExpectSeriesBitIdentical(const std::vector<SweepSeries>& a,
     EXPECT_EQ(a[s].sparsifier, b[s].sparsifier);
     ASSERT_EQ(a[s].points.size(), b[s].points.size());
     for (size_t p = 0; p < a[s].points.size(); ++p) {
+      EXPECT_EQ(a[s].points[p].requested_prune_rate,
+                b[s].points[p].requested_prune_rate);
+      EXPECT_EQ(a[s].points[p].achieved_prune_rate,
+                b[s].points[p].achieved_prune_rate);
       EXPECT_EQ(a[s].points[p].mean, b[s].points[p].mean);
       EXPECT_EQ(a[s].points[p].stddev, b[s].points[p].stddev);
       EXPECT_EQ(a[s].points[p].runs, b[s].points[p].runs);
@@ -197,6 +204,108 @@ TEST_F(FaultTolerantSweepTest, SparsifierFailureFailsItsCellsWithoutRetry) {
     EXPECT_TRUE(saw_ld);
   }
 }
+
+TEST_F(FaultTolerantSweepTest, FailedUnitsFoldLikeExport) {
+  // A failed unit drops out of the sweep's own fold exactly as its error
+  // record drops out of `export`: same points, same means, runs counting
+  // successes only, and no point at all where every run failed. Once with
+  // one failure (the 2nd m_bad unit) and once with every m_bad unit down.
+  const std::vector<std::string> specs = {"engine.metric_unit/m_bad=throw@2",
+                                          "engine.metric_unit/m_bad=throw"};
+  for (size_t k = 0; k < specs.size(); ++k) {
+    SCOPED_TRACE(specs[k]);
+    fail::DisarmAll();
+    std::string dir = UniqueTestDir("fold_store_" + std::to_string(k));
+    ResultStore store(ResultStore::PathInDir(dir));
+    fail::ArmFromSpec(specs[k]);
+    ResumableSweep sweep(runner_, &store, "test-rev");
+    sweep.set_fault_tolerant(true);
+    ResumableSweepStats stats;
+    auto out =
+        sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), TestConfig(), &stats);
+    EXPECT_GT(stats.failed_units, 0u);
+
+    std::vector<cli::StoreGroup> groups = cli::RebuildSeries(store);
+    for (const MetricSweepSeries& m : out) {
+      SCOPED_TRACE(m.metric);
+      // Series in registry order ({RN, LD}); a sparsifier with no
+      // successful unit has no series in the store's rebuild.
+      std::vector<SweepSeries> folded;
+      for (const SweepSeries& s : m.series) {
+        if (!s.points.empty()) folded.push_back(s);
+      }
+      std::vector<SweepSeries> exported;
+      for (const cli::StoreGroup& group : groups) {
+        if (group.metric == m.metric) exported = group.series;
+      }
+      ExpectSeriesBitIdentical(folded, exported);
+    }
+  }
+}
+
+// Safety net for the stage failure path: a score-group or subgraph-build
+// failure fails every dependent unit once, with the stage's class and no
+// retry, while the other sparsifier's units complete; in fail-fast mode
+// the same fault propagates out of the run.
+class StageFaultTest
+    : public FaultTolerantSweepTest,
+      public ::testing::WithParamInterface<std::tuple<std::string, bool>> {};
+
+TEST_P(StageFaultTest, FailsEveryDependentUnitOnceWithItsClass) {
+  const auto& [site, transient] = GetParam();
+  const std::string spec =
+      site + "/RN=" + (transient ? "throw-transient" : "throw");
+  const std::string want_class = transient ? "transient" : "permanent";
+  SweepConfig config = TestConfig();
+  size_t rn_cells = 0, ld_cells = 0;
+  for (const BatchTask& task : BatchRunner::ExpandGrid(ToBatchSpec(config))) {
+    ++(task.sparsifier == "RN" ? rn_cells : ld_cells);
+  }
+
+  std::string dir = UniqueTestDir("stage_store");
+  ResultStore store(ResultStore::PathInDir(dir));
+  fail::ArmFromSpec(spec);
+  ResumableSweep sweep(runner_, &store, "test-rev");
+  sweep.set_fault_tolerant(true);
+  ResumableSweepStats stats;
+  sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &stats);
+  EXPECT_EQ(stats.failed_units, 2 * rn_cells);
+  EXPECT_EQ(stats.transient_failed_units, transient ? 2 * rn_cells : 0u);
+  EXPECT_EQ(stats.retried_units, 0u);
+  size_t rn_errors = 0, ld_results = 0;
+  for (const StoredCell& cell : store.Cells()) {
+    if (cell.key.sparsifier == "RN") {
+      EXPECT_TRUE(cell.is_error);
+      EXPECT_EQ(cell.error_class, want_class);
+      EXPECT_EQ(cell.attempts, 1);
+      ++rn_errors;
+    } else {
+      EXPECT_FALSE(cell.is_error);
+      ++ld_results;
+    }
+  }
+  EXPECT_EQ(rn_errors, 2 * rn_cells);
+  EXPECT_EQ(ld_results, 2 * ld_cells);
+
+  ResumableSweep fail_fast(runner_, nullptr, "test-rev");
+  if (transient) {
+    EXPECT_THROW(fail_fast.RunMulti(graph_, "fb@0.1", TwoMetrics(), config),
+                 TransientError);
+  } else {
+    EXPECT_THROW(fail_fast.RunMulti(graph_, "fb@0.1", TwoMetrics(), config),
+                 fail::InjectedFault);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultTolerantSweepTest, StageFaultTest,
+    ::testing::Combine(::testing::Values("engine.score_group",
+                                         "engine.subgraph"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool>>& i) {
+      std::string name = std::get<0>(i.param).substr(7);  // drop "engine."
+      return name + (std::get<1>(i.param) ? "_transient" : "_permanent");
+    });
 
 }  // namespace
 }  // namespace sparsify

@@ -15,6 +15,7 @@
 namespace sparsify {
 namespace {
 
+using testing_util::RunOneMetric;
 using testing_util::UniqueTestDir;
 
 std::string ReadFile(const std::string& path) {
@@ -75,21 +76,23 @@ class ResumableSweepTest : public ::testing::Test {
 
 TEST_F(ResumableSweepTest, SubsetRunMatchesFullGridSeeds) {
   // Engine-level guarantee the resume path relies on: running a subset of
-  // the grid (odd indices) computes the same values as the full run.
+  // the grid (odd positions) computes the same values as the full run.
   BatchSpec spec = ToBatchSpec(TestConfig());
   MetricFn metric = SampledMetric();
-  std::vector<BatchResult> full = runner_.Run(graph_, spec, metric);
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  std::vector<BatchResult> full =
+      RunOneMetric(runner_, graph_, tasks, spec.master_seed, metric);
   std::vector<BatchTask> odd;
   for (size_t i = 1; i < tasks.size(); i += 2) odd.push_back(tasks[i]);
   std::vector<BatchResult> subset =
-      runner_.RunTasks(graph_, odd, spec.master_seed, metric);
+      RunOneMetric(runner_, graph_, odd, spec.master_seed, metric);
   ASSERT_EQ(subset.size(), odd.size());
   for (size_t j = 0; j < subset.size(); ++j) {
-    EXPECT_EQ(subset[j].task.index, odd[j].index);
-    EXPECT_EQ(subset[j].value, full[odd[j].index].value);
+    // Subset entry j is grid position 2j + 1.
+    EXPECT_EQ(subset[j].task.sparsifier, odd[j].sparsifier);
+    EXPECT_EQ(subset[j].value, full[2 * j + 1].value);
     EXPECT_EQ(subset[j].achieved_prune_rate,
-              full[odd[j].index].achieved_prune_rate);
+              full[2 * j + 1].achieved_prune_rate);
   }
 }
 
@@ -127,10 +130,7 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
   SweepConfig config = TestConfig();
   MetricFn metric = SampledMetric();
 
-  // Cold baseline: the same sweep with no store involved at all. (RunSweep
-  // is not comparable since r3 — its metric streams seed from the
-  // anonymous ""/"" MetricSeed identity, while a named sweep seeds from
-  // its dataset and metric names.)
+  // Cold baseline: the same sweep with no store involved at all.
   ResumableSweep cold_sweep(runner_, nullptr, "test-rev");
   std::vector<SweepSeries> cold =
       cold_sweep.Run(graph_, "fb@0.1", "quad5", config, metric);

@@ -18,9 +18,12 @@
 #include "src/graph/generators.h"
 #include "src/sparsifiers/sparsifier.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
+
+using testing_util::RunOneMetric;
 
 const std::vector<double>& SweepRates() {
   static const std::vector<double> rates = {0.1, 0.2, 0.3, 0.4, 0.5,
@@ -175,7 +178,14 @@ TEST(TwoPhaseEdgeCases, ZeroTargetKeepsNothing) {
 // --------------------------------------------------------------------------
 // Grouped scheduler.
 
-std::vector<BatchResult> RunGroupedGrid(int num_threads, bool share) {
+// Kept fraction plus a draw from the metric stream, so stream drift shows.
+double KeptFractionWithDraw(const Graph& orig, const Graph& sp, Rng& rng) {
+  return static_cast<double>(sp.NumEdges()) /
+             static_cast<double>(orig.NumEdges()) +
+         1e-12 * rng.NextDouble();
+}
+
+std::vector<BatchResult> RunGroupedGrid(int num_threads) {
   Rng gen(88);
   Graph g = BarabasiAlbert(120, 3, gen);
   BatchSpec spec;
@@ -184,20 +194,17 @@ std::vector<BatchResult> RunGroupedGrid(int num_threads, bool share) {
   spec.runs = 2;
   spec.master_seed = 31;
   BatchRunner runner(num_threads);
-  runner.set_share_scores(share);
-  return runner.Run(g, spec,
-                    [](const Graph& orig, const Graph& sp, Rng& rng) {
-                      return static_cast<double>(sp.NumEdges()) /
-                                 static_cast<double>(orig.NumEdges()) +
-                             1e-12 * rng.NextDouble();
-                    });
+  return RunOneMetric(runner, g, BatchRunner::ExpandGrid(spec),
+                      spec.master_seed, KeptFractionWithDraw);
 }
 
 void ExpectIdentical(const std::vector<BatchResult>& a,
                      const std::vector<BatchResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].task.index, b[i].task.index);
+    EXPECT_EQ(a[i].task.sparsifier, b[i].task.sparsifier);
+    EXPECT_EQ(a[i].task.prune_rate, b[i].task.prune_rate);
+    EXPECT_EQ(a[i].task.run, b[i].task.run);
     // EXPECT_EQ on doubles is exact: the contract is bit-identical.
     EXPECT_EQ(a[i].achieved_prune_rate, b[i].achieved_prune_rate);
     EXPECT_EQ(a[i].value, b[i].value);
@@ -205,40 +212,43 @@ void ExpectIdentical(const std::vector<BatchResult>& a,
 }
 
 TEST(GroupedSchedulerTest, BitIdenticalAcrossThreadCounts) {
-  auto one = RunGroupedGrid(1, /*share=*/true);
-  auto two = RunGroupedGrid(2, /*share=*/true);
-  auto eight = RunGroupedGrid(8, /*share=*/true);
+  auto one = RunGroupedGrid(1);
+  auto two = RunGroupedGrid(2);
+  auto eight = RunGroupedGrid(8);
   ExpectIdentical(one, two);
   ExpectIdentical(one, eight);
 }
 
 TEST(GroupedSchedulerTest, DeterministicSparsifiersUnchangedBySharing) {
   // Sharing the scoring phase must not move a single bit for deterministic
-  // algorithms: their cells' masks are rng-free and the metric stream still
-  // derives from (master_seed, cell index).
+  // algorithms: their cells' masks are rng-free, so the engine's shared
+  // ScoreState yields exactly what a standalone per-cell Sparsify does
+  // (here fed an unrelated stream), and the metric stream derives from
+  // MetricSeed alone.
   Rng gen(89);
   Graph g = BarabasiAlbert(120, 3, gen);
   BatchSpec spec;
   spec.sparsifiers = {"LD", "SCAN", "GS", "LSim", "LS", "SF", "SP-3", "TRI"};
   spec.prune_rates = SweepRates();
   spec.master_seed = 77;
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
   BatchRunner runner(2);
-  runner.set_share_scores(true);
-  auto shared = runner.Run(g, spec,
-                           [](const Graph& orig, const Graph& sp, Rng& rng) {
-                             return static_cast<double>(sp.NumEdges()) /
-                                        static_cast<double>(orig.NumEdges()) +
-                                    1e-12 * rng.NextDouble();
-                           });
-  runner.set_share_scores(false);
-  auto per_cell = runner.Run(g, spec,
-                             [](const Graph& orig, const Graph& sp,
-                                Rng& rng) {
-                               return static_cast<double>(sp.NumEdges()) /
-                                          static_cast<double>(
-                                              orig.NumEdges()) +
-                                      1e-12 * rng.NextDouble();
-                             });
+  auto shared = RunOneMetric(runner, g, tasks, spec.master_seed,
+                             KeptFractionWithDraw);
+  std::vector<BatchResult> per_cell(tasks.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    const BatchTask& task = tasks[i];
+    Rng sparsify_rng(1000 + i);
+    Graph sparsified = CreateSparsifier(task.sparsifier)
+                           ->Sparsify(g, task.prune_rate, sparsify_rng);
+    Rng metric_rng(BatchRunner::MetricSeed(spec.master_seed, "test",
+                                           task.sparsifier, task.prune_rate,
+                                           task.run, "metric"));
+    per_cell[i].task = task;
+    per_cell[i].achieved_prune_rate =
+        Sparsifier::AchievedPruneRate(g, sparsified);
+    per_cell[i].value = KeptFractionWithDraw(g, sparsified, metric_rng);
+  }
   ExpectIdentical(shared, per_cell);
 }
 
@@ -254,21 +264,19 @@ TEST(GroupedSchedulerTest, SubsetRunMatchesFullGrid) {
   spec.runs = 2;
   spec.master_seed = 5;
   BatchRunner runner(2);
-  auto metric = [](const Graph& orig, const Graph& sp, Rng& rng) {
-    return static_cast<double>(sp.NumEdges()) /
-               static_cast<double>(orig.NumEdges()) +
-           1e-12 * rng.NextDouble();
-  };
-  auto full = runner.Run(g, spec, metric);
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  auto full = RunOneMetric(runner, g, tasks, spec.master_seed,
+                           KeptFractionWithDraw);
   std::vector<BatchTask> subset;
   for (size_t i = 0; i < tasks.size(); i += 3) subset.push_back(tasks[i]);
-  auto partial = runner.RunTasks(g, subset, spec.master_seed, metric);
+  auto partial = RunOneMetric(runner, g, subset, spec.master_seed,
+                              KeptFractionWithDraw);
   ASSERT_EQ(partial.size(), subset.size());
   for (size_t j = 0; j < partial.size(); ++j) {
-    EXPECT_EQ(partial[j].value, full[subset[j].index].value);
+    // Subset entry j is grid position 3j.
+    EXPECT_EQ(partial[j].value, full[3 * j].value);
     EXPECT_EQ(partial[j].achieved_prune_rate,
-              full[subset[j].index].achieved_prune_rate);
+              full[3 * j].achieved_prune_rate);
   }
 }
 
@@ -287,13 +295,9 @@ TEST(GroupedSchedulerTest, SharingSchedulesOneScorePassPerGroup) {
   // LD deterministic: 9 rates x 1 run; RN: 9 rates x 2 runs.
   ASSERT_EQ(tasks.size(), 9u + 18u);
   BatchRunStats stats;
-  runner.RunTasks(g, tasks, spec.master_seed, metric, nullptr, &stats);
+  RunOneMetric(runner, g, tasks, spec.master_seed, metric, &stats);
   EXPECT_EQ(stats.cells, 27u);
   EXPECT_EQ(stats.score_groups, 3u);  // (LD,0), (RN,0), (RN,1)
-
-  runner.set_share_scores(false);
-  runner.RunTasks(g, tasks, spec.master_seed, metric, nullptr, &stats);
-  EXPECT_EQ(stats.score_groups, 27u);  // legacy: every cell rescored
 }
 
 TEST(GroupedSchedulerTest, GroupSeedIndependentOfGridShape) {

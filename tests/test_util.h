@@ -1,7 +1,8 @@
-// Shared filesystem helpers for tests. Every test that opens a result
-// store gets its own directory, keyed by test name and process id, so
-// tests running in parallel (ctest -j) or repeatedly never see each
-// other's segments, leases, or lock files.
+// Shared helpers for tests. Every test that opens a result store gets its
+// own directory, keyed by test name and process id, so tests running in
+// parallel (ctest -j) or repeatedly never see each other's segments,
+// leases, or lock files. Engine tests run single-metric grids through
+// RunOneMetric.
 #ifndef SPARSIFY_TESTS_TEST_UTIL_H_
 #define SPARSIFY_TESTS_TEST_UTIL_H_
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/engine/batch_runner.h"
 
 namespace sparsify::testing_util {
 
@@ -57,6 +59,26 @@ inline uintmax_t LogBytes(const std::string& dir) {
     bytes += std::filesystem::file_size(file);
   }
   return bytes;
+}
+
+/// Runs `tasks` through BatchRunner::RunTasksMulti with the single metric
+/// `fn`, named "metric" on dataset "test" (the MetricSeed identity), and
+/// returns one result per task in `tasks` order.
+inline std::vector<BatchResult> RunOneMetric(
+    const BatchRunner& runner, const Graph& g,
+    const std::vector<BatchTask>& tasks, uint64_t master_seed,
+    const BatchMetricFn& fn, BatchRunStats* stats = nullptr) {
+  std::vector<BatchMultiResult> multi =
+      runner.RunTasksMulti(g, "test", tasks, master_seed,
+                           {BatchMetric{"metric", fn}}, nullptr, stats);
+  std::vector<BatchResult> out(multi.size());
+  for (size_t i = 0; i < multi.size(); ++i) {
+    out[i].task = multi[i].task;
+    out[i].achieved_prune_rate = multi[i].achieved_prune_rate;
+    out[i].value = multi[i].values[0].value;
+    out[i].resolved = !multi[i].values[0].failed;
+  }
+  return out;
 }
 
 }  // namespace sparsify::testing_util
