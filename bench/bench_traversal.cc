@@ -16,6 +16,13 @@
 // conflated in hybrid_vs_seed: the seed's per-call allocations are
 // visible next to the kernel's zero.
 //
+// The same sources also run as 64-wide bit-parallel MultiSourceBfs
+// batches (the closeness/eccentricity kernel): msbfs_seconds times them
+// against the hybrid pass (msbfs_vs_hybrid = hybrid / msbfs), the bench
+// cross-checks every source's reached count and max level against its
+// hybrid run, and msbfs_allocs_per_call counts heap allocations per
+// warm batch call.
+//
 // Weighted datasets additionally race the two SSSP modes from the same
 // sources — DijkstraDistances with SsspMode::kBinaryHeap vs
 // kDeltaStepping — and report delta_vs_heap (distances are bit-identical;
@@ -30,6 +37,7 @@
 // Usage: bench_traversal [--datasets=ego-Facebook@0.5,web-Google@25]
 //          [--sources=64] [--repeat=3] [--seed=42] [--cache=DIR]
 //          [--out=BENCH_traversal.json]
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -38,6 +46,7 @@
 #include <iostream>
 #include <new>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -149,6 +158,7 @@ struct GraphResult {
   double seed_seconds = 0.0;
   double push_seconds = 0.0;
   double hybrid_seconds = 0.0;
+  double msbfs_seconds = 0.0;  // same sources, batches of 64
   int pull_rounds = 0;       // total across the hybrid pass's sources
   uint64_t checksum = 0;     // per-mode reached-count sums must agree
   // Allocations per traversal call, measured on the final repeat (scratch
@@ -156,6 +166,7 @@ struct GraphResult {
   double seed_allocs_per_call = 0.0;
   double push_allocs_per_call = 0.0;
   double hybrid_allocs_per_call = 0.0;
+  double msbfs_allocs_per_call = 0.0;  // per MultiSourceBfs batch call
   // Weighted datasets only: binary-heap vs delta-stepping Dijkstra.
   double dijkstra_heap_seconds = 0.0;
   double dijkstra_delta_seconds = 0.0;
@@ -207,6 +218,12 @@ int TraversalBenchMain(int argc, char** argv) {
     }
 
     TraversalScratch scratch;
+    // Per-source hybrid folds and multi-source records, sized once so the
+    // timed loops below allocate nothing of their own.
+    std::vector<TraversalSummary> hybrid_sums(sources.size());
+    std::vector<MultiSourceRecord> ms_records(sources.size());
+    const size_t ms_batches =
+        (sources.size() + kMultiSourceWidth - 1) / kMultiSourceWidth;
     for (int rep = 0; rep < opt.repeat; ++rep) {
       uint64_t seed_check = 0, push_check = 0, hybrid_check = 0;
       int pull_rounds = 0;
@@ -236,15 +253,38 @@ int TraversalBenchMain(int argc, char** argv) {
 
       allocs_before = g_alloc_count.load();
       Timer hybrid_timer;
-      for (NodeId src : sources) {
-        TraversalSummary sum = BfsLevels(graph, src, scratch);
-        hybrid_check += sum.reached;
-        pull_rounds += sum.pull_rounds;
+      for (size_t i = 0; i < sources.size(); ++i) {
+        hybrid_sums[i] = BfsLevels(graph, sources[i], scratch);
+        hybrid_check += hybrid_sums[i].reached;
+        pull_rounds += hybrid_sums[i].pull_rounds;
       }
       double hybrid_s = hybrid_timer.Seconds();
       r.hybrid_allocs_per_call =
           static_cast<double>(g_alloc_count.load() - allocs_before) /
           opt.sources;
+
+      allocs_before = g_alloc_count.load();
+      Timer msbfs_timer;
+      for (size_t first = 0; first < sources.size();
+           first += kMultiSourceWidth) {
+        const size_t count =
+            std::min(kMultiSourceWidth, sources.size() - first);
+        MultiSourceBfs(graph, std::span(sources.data() + first, count),
+                       scratch, std::span(ms_records.data() + first, count));
+      }
+      double msbfs_s = msbfs_timer.Seconds();
+      r.msbfs_allocs_per_call =
+          static_cast<double>(g_alloc_count.load() - allocs_before) /
+          static_cast<double>(ms_batches);
+      for (size_t i = 0; i < sources.size(); ++i) {
+        if (ms_records[i].reached != hybrid_sums[i].reached ||
+            static_cast<double>(ms_records[i].max_level) !=
+                hybrid_sums[i].max_dist) {
+          std::cerr << "error: multi-source BFS mismatch on " << spec
+                    << " source " << sources[i] << "\n";
+          return 1;
+        }
+      }
 
       if (seed_check != push_check || push_check != hybrid_check) {
         std::cerr << "error: reached-count mismatch on " << spec << "\n";
@@ -255,6 +295,7 @@ int TraversalBenchMain(int argc, char** argv) {
       if (rep == 0 || hybrid_s < r.hybrid_seconds) {
         r.hybrid_seconds = hybrid_s;
       }
+      if (rep == 0 || msbfs_s < r.msbfs_seconds) r.msbfs_seconds = msbfs_s;
       r.pull_rounds = pull_rounds;
       r.checksum = hybrid_check;
     }
@@ -301,13 +342,16 @@ int TraversalBenchMain(int argc, char** argv) {
     std::printf(
         "%-22s |V|=%u |E|=%u %s seed=%.4fs push=%.4fs hybrid=%.4fs "
         "hybrid_vs_seed=%.2fx hybrid_vs_push=%.2fx pull_rounds=%d "
-        "allocs/call seed=%.1f push=%.1f hybrid=%.1f",
+        "allocs/call seed=%.1f push=%.1f hybrid=%.1f msbfs=%.4fs "
+        "msbfs_vs_hybrid=%.2fx msbfs_allocs/call=%.1f",
         spec.c_str(), r.vertices, r.edges, r.directed ? "dir" : "und",
         r.seed_seconds, r.push_seconds, r.hybrid_seconds,
         r.hybrid_seconds > 0 ? r.seed_seconds / r.hybrid_seconds : 0.0,
         r.hybrid_seconds > 0 ? r.push_seconds / r.hybrid_seconds : 0.0,
         r.pull_rounds, r.seed_allocs_per_call, r.push_allocs_per_call,
-        r.hybrid_allocs_per_call);
+        r.hybrid_allocs_per_call, r.msbfs_seconds,
+        r.msbfs_seconds > 0 ? r.hybrid_seconds / r.msbfs_seconds : 0.0,
+        r.msbfs_allocs_per_call);
     if (r.weighted) {
       std::printf(" dijkstra heap=%.4fs delta=%.4fs delta_vs_heap=%.2fx",
                   r.dijkstra_heap_seconds, r.dijkstra_delta_seconds,
@@ -356,7 +400,12 @@ int TraversalBenchMain(int argc, char** argv) {
          << ", \"bfs_per_second_hybrid\": "
          << Json(r.hybrid_seconds > 0
                      ? static_cast<double>(opt.sources) / r.hybrid_seconds
-                     : 0.0);
+                     : 0.0)
+         << ", \"msbfs_seconds\": " << Json(r.msbfs_seconds)
+         << ", \"msbfs_vs_hybrid\": "
+         << Json(r.msbfs_seconds > 0 ? r.hybrid_seconds / r.msbfs_seconds
+                                     : 0.0)
+         << ", \"msbfs_allocs_per_call\": " << Json(r.msbfs_allocs_per_call);
     if (r.weighted) {
       json << ", \"dijkstra_heap_seconds\": " << Json(r.dijkstra_heap_seconds)
            << ", \"dijkstra_delta_seconds\": "

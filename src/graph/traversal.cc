@@ -1,9 +1,11 @@
 #include "src/graph/traversal.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 
 #include "src/obs/counters.h"
 #include "src/util/cancel.h"
@@ -28,6 +30,8 @@ struct TraversalObs {
       obs::GetCounter("traversal.sssp_delta_calls");
   obs::Counter& sssp_bucket_advances =
       obs::GetCounter("traversal.sssp_bucket_advances");
+  obs::Counter& msbfs_calls = obs::GetCounter("traversal.msbfs_calls");
+  obs::Counter& msbfs_levels = obs::GetCounter("traversal.msbfs_levels");
 };
 
 TraversalObs& GetTraversalObs() {
@@ -256,6 +260,79 @@ TraversalSummary BfsLevels(const Graph& g, NodeId src,
   tobs.pull_rounds.Add(sum.pull_rounds);
   tobs.frontier_peak.Record(peak_frontier);
   return sum;
+}
+
+void MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
+                    TraversalScratch& s, std::span<MultiSourceRecord> out) {
+  const size_t k = sources.size();
+  if (k > kMultiSourceWidth || out.size() != k) {
+    throw std::invalid_argument(
+        "MultiSourceBfs: need <= 64 sources and one record per source");
+  }
+  const NodeId n = g.NumVertices();
+  if (s.ms_seen_.size() < static_cast<size_t>(n)) {
+    s.ms_seen_.resize(n);
+    s.ms_frontier_.resize(n);
+    s.ms_next_.resize(n);
+  }
+  uint64_t* seen = s.ms_seen_.data();
+  uint64_t* frontier = s.ms_frontier_.data();
+  uint64_t* next = s.ms_next_.data();  // fully rewritten every round
+  std::fill_n(seen, n, 0);
+  std::fill_n(frontier, n, 0);
+  for (size_t i = 0; i < k; ++i) {
+    const uint64_t bit = uint64_t{1} << i;
+    seen[sources[i]] |= bit;
+    frontier[sources[i]] |= bit;
+    out[i] = MultiSourceRecord{1, 0, 0};
+  }
+  // Lanes in use. A vertex whose seen word equals `full` has been reached
+  // from every source and can never gain a bit again, so pull rounds skip
+  // it without touching its in-neighbors.
+  const uint64_t full = k == kMultiSourceWidth ? ~uint64_t{0}
+                                               : (uint64_t{1} << k) - 1;
+  std::array<NodeId, kMultiSourceWidth> fresh{};  // per-lane new this round
+  uint32_t level = 0;
+  while (k > 0) {
+    // One poll per level, as in BfsLevels: the per-edge loop stays clean.
+    SPARSIFY_CHECK_CANCELLED();
+    ++level;
+    fresh.fill(0);
+    uint64_t any = 0;
+    // Pull round: next[v] = OR of the in-neighbors' frontier words, minus
+    // the lanes that already reached v. A lane's frontier bit on u means
+    // u sits at hop level - 1 from that lane's source, so every new bit
+    // on v is a vertex at exactly `level` hops.
+    for (NodeId v = 0; v < n; ++v) {
+      const uint64_t sv = seen[v];
+      if (sv == full) {
+        next[v] = 0;
+        continue;
+      }
+      uint64_t acc = 0;
+      for (NodeId u : g.InNeighborNodes(v)) {
+        acc |= frontier[u];
+        if ((acc | sv) == full) break;  // every missing lane arrived
+      }
+      acc &= ~sv;
+      next[v] = acc;
+      if (acc == 0) continue;
+      seen[v] = sv | acc;
+      any |= acc;
+      for (uint64_t b = acc; b != 0; b &= b - 1) ++fresh[std::countr_zero(b)];
+    }
+    if (any == 0) break;
+    for (uint64_t b = any; b != 0; b &= b - 1) {
+      const int i = std::countr_zero(b);
+      out[i].reached += fresh[i];
+      out[i].level_sum += static_cast<uint64_t>(level) * fresh[i];
+      out[i].max_level = level;
+    }
+    std::swap(frontier, next);
+  }
+  TraversalObs& tobs = GetTraversalObs();
+  tobs.msbfs_calls.Add();
+  tobs.msbfs_levels.Add(level);
 }
 
 namespace {

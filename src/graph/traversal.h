@@ -1,5 +1,5 @@
 // Shared traversal kernel: reusable scratch + direction-optimizing BFS +
-// scratch-reusing Dijkstra.
+// 64-wide bit-parallel multi-source BFS + scratch-reusing Dijkstra.
 //
 // Every BFS/SSSP-bound metric in the library (SPSP stretch, eccentricity,
 // approximate diameter, closeness/betweenness centrality, reachability
@@ -9,7 +9,8 @@
 //
 //  * TraversalScratch owns every per-traversal array (epoch-stamped visit
 //    marks, uint32 level array, double distance array, flat frontier
-//    buffers, Dijkstra heap storage, Brandes sigma/delta/order arrays).
+//    buffers, Dijkstra heap storage, Brandes sigma/delta/order arrays,
+//    the multi-source seen/frontier/next words).
 //    Repeated traversals over same-sized graphs do zero allocation, and
 //    the epoch stamp makes "reset the visited set" an O(1) counter bump
 //    instead of an O(n) refill.
@@ -33,12 +34,21 @@
 //    (binary-heap fallback when the weight distribution defeats
 //    bucketing), with bit-identical distances either way.
 //
+//  * MultiSourceBfs settles up to 64 unweighted BFS sources in one pass
+//    per level (Then et al., "The More the Merrier", PVLDB 2015): every
+//    vertex carries one bit per source in seen/frontier/next words, and a
+//    pull round ORs the in-neighbors' frontier words. Closeness centrality
+//    and eccentricity stretch consume its per-source folds (reached count,
+//    integer level sum, max level) instead of running one BFS per source.
+//
 // Determinism: BFS hop counts and Dijkstra distances are the unique fixed
 // point of their recurrences — they do not depend on the order vertices
 // are processed in, so push-only, hybrid, and the legacy queue BFS produce
 // bit-identical distance arrays (see src/graph/README.md for the full
 // argument). The TraversalSummary reductions (max, min-id-at-max) are
-// likewise order-independent.
+// likewise order-independent, and the multi-source folds are exact
+// integers (count, sum, max), so they equal any per-source fold of the
+// same levels.
 //
 // Scratch ownership: a scratch is single-threaded — one traversal at a
 // time, results valid until the next Begin on the same scratch. Under
@@ -49,6 +59,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -114,6 +125,13 @@ class TraversalScratch {
   std::vector<double> delta_;
   std::vector<NodeId> order_;  // BFS/settle order of the last accumulation
 
+  // MultiSourceBfs state: one bit per source, one word per vertex. Sized
+  // on growth only; the kernel zeroes the first n words of seen/frontier
+  // per call and never reads the epoch-stamped arrays above.
+  std::vector<uint64_t> ms_seen_;
+  std::vector<uint64_t> ms_frontier_;
+  std::vector<uint64_t> ms_next_;
+
   void MarkReached(NodeId v) { stamp_[v] = epoch_; }
 };
 
@@ -155,6 +173,27 @@ TraversalSummary BfsLevels(const Graph& g, NodeId src,
 TraversalSummary DijkstraDistances(const Graph& g, NodeId src,
                                    TraversalScratch& scratch,
                                    SsspMode mode = SsspMode::kAuto);
+
+/// Per-source fold of one MultiSourceBfs lane. Every field is an exact
+/// integer, so e.g. double(level_sum) equals an ascending-id double sum of
+/// the same hop counts whenever the total stays below 2^53.
+struct MultiSourceRecord {
+  NodeId reached = 0;      // vertices reached, including the source
+  uint64_t level_sum = 0;  // sum of hop counts over reached vertices
+  uint32_t max_level = 0;  // largest hop count (0 if only the source)
+};
+
+/// Largest batch MultiSourceBfs accepts: one bit per source in a word.
+constexpr size_t kMultiSourceWidth = 64;
+
+/// Hop-count BFS from up to kMultiSourceWidth sources at once along
+/// out-edges, ignoring weights. out[i] receives the fold of sources[i];
+/// duplicate sources are independent lanes with identical records.
+/// Requires sources.size() <= kMultiSourceWidth and out.size() ==
+/// sources.size(). Uses only the scratch's ms_* arrays.
+void MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
+                    TraversalScratch& scratch,
+                    std::span<MultiSourceRecord> out);
 
 /// ShortestPathDistances dispatch: BFS for unweighted graphs, Dijkstra
 /// for weighted ones — the semantics every distance metric is defined on.

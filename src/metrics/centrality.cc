@@ -1,6 +1,7 @@
 #include "src/metrics/centrality.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <unordered_set>
@@ -124,26 +125,52 @@ std::vector<double> ApproxBetweennessCentrality(const Graph& g,
 std::vector<double> ClosenessCentrality(const Graph& g) {
   const NodeId n = g.NumVertices();
   std::vector<double> closeness(n, 0.0);
-  // Each vertex's BFS writes only its own slot, so the sources fan out as
-  // engine subtasks with bit-identical output at any thread count. The
-  // distance fold scans the scratch in ascending vertex order — the same
-  // summation order as the legacy materialized-vector loop — without
-  // ever allocating the vector.
-  NestedParallelFor(CurrentSubtaskPool(), n, [&](size_t src) {
-    NodeId v = static_cast<NodeId>(src);
-    TraversalScratch& scratch = LocalTraversalScratch();
-    Traverse(g, v, scratch);
-    double sum = 0.0;
-    double reachable = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
-      if (u != v && scratch.Reached(u)) {
-        sum += scratch.DistanceOf(u);
-        reachable += 1.0;
-      }
-    }
+  // Wasserman-Faust: (r / (n-1)) * (r / sum) where r = #reachable.
+  auto score = [&](NodeId v, double sum, double reachable) {
     if (sum > 0.0 && n > 1) {
-      // Wasserman-Faust: (r / (n-1)) * (r / sum) where r = #reachable.
       closeness[v] = (reachable / (n - 1.0)) * (reachable / sum);
+    }
+  };
+  if (g.IsWeighted()) {
+    // One Dijkstra per source, writing only its own slot, so the sources
+    // fan out as engine subtasks with bit-identical output at any thread
+    // count. Weighted distances are not integers: the fold scans in
+    // ascending vertex order to fix the floating-point association.
+    NestedParallelFor(CurrentSubtaskPool(), n, [&](size_t src) {
+      NodeId v = static_cast<NodeId>(src);
+      TraversalScratch& scratch = LocalTraversalScratch();
+      DijkstraDistances(g, v, scratch);
+      double sum = 0.0;
+      double reachable = 0.0;
+      for (NodeId u = 0; u < n; ++u) {
+        if (u != v && scratch.Reached(u)) {
+          sum += scratch.DistanceOf(u);
+          reachable += 1.0;
+        }
+      }
+      score(v, sum, reachable);
+    });
+    return closeness;
+  }
+  // Unweighted: consecutive ids in batches of 64 through one multi-source
+  // BFS each; a batch writes only its own slots. Hop sums and counts are
+  // exact integers, so converting the per-source totals once yields the
+  // same doubles as the ascending-id `sum += DistanceOf(u)` loop.
+  const size_t batches = (static_cast<size_t>(n) + kMultiSourceWidth - 1) /
+                         kMultiSourceWidth;
+  NestedParallelFor(CurrentSubtaskPool(), batches, [&](size_t b) {
+    const NodeId first = static_cast<NodeId>(b * kMultiSourceWidth);
+    const size_t count =
+        std::min<size_t>(kMultiSourceWidth, static_cast<size_t>(n - first));
+    std::array<NodeId, kMultiSourceWidth> sources{};
+    std::iota(sources.begin(), sources.begin() + count, first);
+    std::array<MultiSourceRecord, kMultiSourceWidth> records;
+    MultiSourceBfs(g, std::span(sources.data(), count),
+                   LocalTraversalScratch(), std::span(records.data(), count));
+    for (size_t i = 0; i < count; ++i) {
+      score(first + static_cast<NodeId>(i),
+            static_cast<double>(records[i].level_sum),
+            static_cast<double>(records[i].reached - 1));
     }
   });
   return closeness;
@@ -223,7 +250,7 @@ std::vector<double> PageRank(const Graph& g, double d, int iters,
 std::vector<NodeId> TopKIndices(const std::vector<double>& scores, int k) {
   std::vector<NodeId> order(scores.size());
   std::iota(order.begin(), order.end(), 0);
-  k = std::min<int>(k, static_cast<int>(order.size()));
+  k = std::clamp<int>(k, 0, static_cast<int>(order.size()));
   std::partial_sort(order.begin(), order.begin() + k, order.end(),
                     [&](NodeId a, NodeId b) {
                       return scores[a] != scores[b] ? scores[a] > scores[b]

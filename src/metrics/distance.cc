@@ -1,6 +1,7 @@
 #include "src/metrics/distance.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/util/stats.h"
 #include "src/util/thread_pool.h"
@@ -88,51 +89,75 @@ double Eccentricity(const Graph& g, NodeId v) {
   return sum.reached <= 1 ? kInfDistance : sum.max_dist;
 }
 
+namespace {
+
+// Eccentricity (Eccentricity() semantics) of every vertex in `sources`.
+// Unweighted graphs run the sources in batches of 64 through one
+// multi-source BFS each; weighted graphs keep one Dijkstra per source.
+// Each subtask writes only its own slots, so the result is bit-identical
+// at any subtask thread count, and a lane's max level is the same integer
+// the single-source kernel folds.
+std::vector<double> Eccentricities(const Graph& g,
+                                   const std::vector<NodeId>& sources) {
+  std::vector<double> ecc(sources.size());
+  if (g.IsWeighted()) {
+    NestedParallelFor(CurrentSubtaskPool(), sources.size(), [&](size_t s) {
+      ecc[s] = Eccentricity(g, sources[s]);
+    });
+    return ecc;
+  }
+  const size_t batches =
+      (sources.size() + kMultiSourceWidth - 1) / kMultiSourceWidth;
+  NestedParallelFor(CurrentSubtaskPool(), batches, [&](size_t b) {
+    const size_t first = b * kMultiSourceWidth;
+    const size_t count = std::min(kMultiSourceWidth, sources.size() - first);
+    std::array<MultiSourceRecord, kMultiSourceWidth> records;
+    MultiSourceBfs(g, std::span(sources.data() + first, count),
+                   LocalTraversalScratch(), std::span(records.data(), count));
+    for (size_t i = 0; i < count; ++i) {
+      ecc[first + i] = records[i].reached <= 1
+                           ? kInfDistance
+                           : static_cast<double>(records[i].max_level);
+    }
+  });
+  return ecc;
+}
+
+}  // namespace
+
 StretchResult EccentricityStretch(const Graph& original,
                                   const Graph& sparsified, int num_sources,
                                   Rng& rng) {
   StretchResult result;
   const NodeId n = original.NumVertices();
   if (n == 0 || num_sources <= 0) return result;
-  // Sources are drawn once; each source's eccentricity pair is pure, so
-  // the sources fan out as engine subtasks and fold in sample order —
-  // bit-identical to the sequential loop at any subtask thread count.
+  // Sources are drawn once; eccentricities are pure per source, so both
+  // graphs' batches fan out as engine subtasks and the records fold in
+  // sample order.
   std::vector<uint64_t> samples =
       rng.SampleWithoutReplacement(n, std::min<uint64_t>(n, num_sources));
-  struct SourceRecord {
-    double stretch = -1.0;  // < 0: no finite stretch recorded
-    bool counted = false;
-    bool broken = false;
-  };
-  std::vector<SourceRecord> records(samples.size());
-  NestedParallelFor(
-      CurrentSubtaskPool(), samples.size(), [&](size_t s) {
-        NodeId v = static_cast<NodeId>(samples[s]);
-        // The original-graph sweep folds its own max, so an infinite/zero
-        // eccentricity skips the sparsified traversal outright — the
-        // legacy code paid for a full distance vector before finding out.
-        double eo = Eccentricity(original, v);
-        if (eo == kInfDistance || eo == 0.0) return;
-        SourceRecord& rec = records[s];
-        rec.counted = true;
-        double es = Eccentricity(sparsified, v);
-        if (es == kInfDistance) {
-          rec.broken = true;
-        } else {
-          rec.stretch = es / eo;
-        }
-      });
+  std::vector<NodeId> sources(samples.begin(), samples.end());
+  std::vector<double> ecc_orig = Eccentricities(original, sources);
+  // A source with infinite/zero original eccentricity is not counted, so
+  // it never needs a sparsified traversal.
+  std::vector<NodeId> counted;
+  std::vector<double> counted_orig;
+  for (size_t s = 0; s < sources.size(); ++s) {
+    if (ecc_orig[s] == kInfDistance || ecc_orig[s] == 0.0) continue;
+    counted.push_back(sources[s]);
+    counted_orig.push_back(ecc_orig[s]);
+  }
+  std::vector<double> ecc_sparse = Eccentricities(sparsified, counted);
   std::vector<double> stretches;
-  int broken = 0, total = 0;
-  for (const SourceRecord& rec : records) {
-    if (!rec.counted) continue;
-    ++total;
-    if (rec.broken) {
+  int broken = 0;
+  for (size_t s = 0; s < counted.size(); ++s) {
+    if (ecc_sparse[s] == kInfDistance) {
       ++broken;
     } else {
-      stretches.push_back(rec.stretch);
+      stretches.push_back(ecc_sparse[s] / counted_orig[s]);
     }
   }
+  const int total = static_cast<int>(counted.size());
   result.mean_stretch = Mean(stretches);
   result.unreachable = total > 0 ? static_cast<double>(broken) / total : 0.0;
   result.pairs_evaluated = static_cast<int>(stretches.size());

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -24,6 +25,8 @@
 #include "src/graph/generators.h"
 #include "src/graph/traversal.h"
 #include "src/metrics/basic.h"
+#include "src/metrics/centrality.h"
+#include "src/obs/counters.h"
 #include "src/sparsifiers/effective_resistance.h"
 #include "src/sparsifiers/t_spanner.h"
 #include "src/util/errors.h"
@@ -158,6 +161,26 @@ TEST_F(KernelCancelTest, BfsObservesCancellationAtRoundGranularity) {
   token.Cancel();
   CancelScope scope(&token);
   EXPECT_THROW(BfsLevels(graph_, 0, scratch_), CancelledError);
+}
+
+TEST_F(KernelCancelTest, MultiSourceBfsAndClosenessObserveAnExpiredDeadline) {
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  obs::Counter& levels = obs::GetCounter("traversal.msbfs_levels");
+  const uint64_t levels_before = levels.Value();
+  // The kernel polls before its first level, so it throws before scanning
+  // a single vertex; closeness surfaces the same typed error, serially and
+  // with its batches fanned out as subtasks.
+  const std::array<NodeId, 3> sources = {0, 1, 2};
+  std::array<MultiSourceRecord, 3> records;
+  EXPECT_THROW(MultiSourceBfs(graph_, sources, scratch_, records),
+               DeadlineExceededError);
+  EXPECT_THROW(ClosenessCentrality(graph_), DeadlineExceededError);
+  ThreadPool pool(2);
+  SubtaskPoolScope pool_scope(&pool);
+  EXPECT_THROW(ClosenessCentrality(graph_), DeadlineExceededError);
+  EXPECT_EQ(levels.Value(), levels_before);
 }
 
 TEST_F(KernelCancelTest, DijkstraObservesCancellation) {

@@ -1,17 +1,107 @@
 // Tests for centrality metrics against analytically known values on small
-// graphs, plus sampled-vs-exact cross-validation mirroring the paper's
-// section 3.3.3.
+// graphs, sampled-vs-exact cross-validation mirroring the paper's section
+// 3.3.3, and the multi-source BFS paths of closeness centrality and
+// eccentricity stretch against their per-source oracles, bit for bit.
 #include "src/metrics/centrality.h"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "src/graph/generators.h"
+#include "src/graph/traversal.h"
+#include "src/metrics/distance.h"
+#include "src/obs/counters.h"
+#include "src/sparsifiers/sparsifier.h"
 #include "src/util/rng.h"
+#include "src/util/stats.h"
+#include "src/util/thread_pool.h"
+#include "tests/msbfs_shapes.h"
 
 namespace sparsify {
 namespace {
+
+// The per-source closeness loop ClosenessCentrality ran before its
+// unweighted path moved onto MultiSourceBfs: one traversal per vertex and
+// an ascending-id double fold of its distances. The differential oracle
+// for the batched kernel (and, on weighted graphs, for the Dijkstra path).
+std::vector<double> PerSourceCloseness(const Graph& g) {
+  const NodeId n = g.NumVertices();
+  std::vector<double> closeness(n, 0.0);
+  TraversalScratch scratch;
+  for (NodeId v = 0; v < n; ++v) {
+    Traverse(g, v, scratch);
+    double sum = 0.0;
+    double reachable = 0.0;
+    for (NodeId u = 0; u < n; ++u) {
+      if (u != v && scratch.Reached(u)) {
+        sum += scratch.DistanceOf(u);
+        reachable += 1.0;
+      }
+    }
+    if (sum > 0.0 && n > 1) {
+      // Wasserman-Faust: (r / (n-1)) * (r / sum) where r = #reachable.
+      closeness[v] = (reachable / (n - 1.0)) * (reachable / sum);
+    }
+  }
+  return closeness;
+}
+
+// EccentricityStretch in its per-source form: two single-source
+// eccentricities per sampled vertex, folded in sample order.
+StretchResult PerSourceEccentricityStretch(const Graph& original,
+                                           const Graph& sparsified,
+                                           int num_sources, Rng& rng) {
+  StretchResult result;
+  const NodeId n = original.NumVertices();
+  if (n == 0 || num_sources <= 0) return result;
+  std::vector<uint64_t> samples =
+      rng.SampleWithoutReplacement(n, std::min<uint64_t>(n, num_sources));
+  std::vector<double> stretches;
+  int broken = 0, total = 0;
+  for (uint64_t s : samples) {
+    NodeId v = static_cast<NodeId>(s);
+    double eo = Eccentricity(original, v);
+    if (eo == kInfDistance || eo == 0.0) continue;
+    ++total;
+    double es = Eccentricity(sparsified, v);
+    if (es == kInfDistance) {
+      ++broken;
+    } else {
+      stretches.push_back(es / eo);
+    }
+  }
+  result.mean_stretch = Mean(stretches);
+  result.unreachable = total > 0 ? static_cast<double>(broken) / total : 0.0;
+  result.pairs_evaluated = static_cast<int>(stretches.size());
+  return result;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void ExpectSameStretch(const StretchResult& got, const StretchResult& want,
+                       const std::string& label) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.mean_stretch),
+            std::bit_cast<uint64_t>(want.mean_stretch))
+      << label;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.unreachable),
+            std::bit_cast<uint64_t>(want.unreachable))
+      << label;
+  EXPECT_EQ(got.pairs_evaluated, want.pairs_evaluated) << label;
+}
+
+// Every other edge of `g`: a deterministic sparsified counterpart.
+Graph HalfEdges(const Graph& g) {
+  std::vector<uint8_t> keep(g.NumEdges(), 0);
+  for (EdgeId e = 0; e < g.NumEdges(); e += 2) keep[e] = 1;
+  return g.Subgraph(keep);
+}
 
 Graph StarGraph(NodeId leaves) {
   std::vector<Edge> edges;
@@ -162,6 +252,60 @@ TEST(TopKIndicesTest, OrderedAndTieBroken) {
   EXPECT_EQ(top[0], 1u);  // tie with 2 broken by index
   EXPECT_EQ(top[1], 2u);
   EXPECT_EQ(top[2], 3u);
+}
+
+TEST(TopKIndicesTest, NonPositiveKSelectsNothing) {
+  std::vector<double> s = {1.0, 3.0, 2.0};
+  EXPECT_TRUE(TopKIndices(s, -1).empty());
+  EXPECT_TRUE(TopKIndices(s, 0).empty());
+  EXPECT_DOUBLE_EQ(TopKPrecision(s, s, -1), 0.0);
+  EXPECT_DOUBLE_EQ(TopKPrecision(s, s, 0), 0.0);
+}
+
+TEST(MultiSourceClosenessTest, BitIdenticalToPerSourceOracleOnEveryShape) {
+  ThreadPool pool(4);
+  for (const testing_util::NamedShape& shape :
+       testing_util::MultiSourceShapes()) {
+    const std::vector<double> want = PerSourceCloseness(shape.graph);
+    EXPECT_TRUE(SameBits(ClosenessCentrality(shape.graph), want))
+        << shape.name;
+    // And with the batches fanned out as subtasks on a 4-thread pool.
+    SubtaskPoolScope scope(&pool);
+    EXPECT_TRUE(SameBits(ClosenessCentrality(shape.graph), want))
+        << shape.name << " (4 threads)";
+  }
+}
+
+TEST(MultiSourceEccentricityTest, BitIdenticalToPerSourceFormOnEveryShape) {
+  for (const testing_util::NamedShape& shape :
+       testing_util::MultiSourceShapes()) {
+    const Graph sparse = HalfEdges(shape.graph);
+    // 50 samples (one batch, as the registry metric draws) and 130 (two
+    // full batches and a partial one where n allows it).
+    for (int samples : {50, 130}) {
+      Rng a(17), b(17);
+      ExpectSameStretch(EccentricityStretch(shape.graph, sparse, samples, a),
+                        PerSourceEccentricityStretch(shape.graph, sparse,
+                                                     samples, b),
+                        shape.name + " samples=" + std::to_string(samples));
+      EXPECT_EQ(a.NextUint(1u << 30), b.NextUint(1u << 30)) << shape.name;
+    }
+  }
+}
+
+TEST(MultiSourceClosenessTest, WeightedGraphsKeepTheDijkstraPath) {
+  const Graph astro = LoadDatasetScaled("ca-AstroPh", 0.1).graph;
+  Rng rng(5);
+  const Graph h = CreateSparsifier("ER-w")->Sparsify(astro, 0.5, rng);
+  ASSERT_TRUE(h.IsWeighted());
+  obs::Counter& msbfs_calls = obs::GetCounter("traversal.msbfs_calls");
+  const uint64_t before = msbfs_calls.Value();
+  EXPECT_TRUE(SameBits(ClosenessCentrality(h), PerSourceCloseness(h)));
+  Rng a(9), b(9);
+  ExpectSameStretch(EccentricityStretch(h, HalfEdges(h), 50, a),
+                    PerSourceEccentricityStretch(h, HalfEdges(h), 50, b),
+                    "ER-w");
+  EXPECT_EQ(msbfs_calls.Value(), before);  // no multi-source BFS ran
 }
 
 }  // namespace

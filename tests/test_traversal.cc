@@ -1,20 +1,52 @@
 // Tests for the shared traversal kernel (src/graph/traversal.h): push-only
 // == hybrid == legacy queue BFS on every graph shape, Dijkstra parity,
 // scratch reuse across graph sizes and threads, the SoA CSR spans, the
-// TraversalSummary folds, the cached MaxDegree, and full-metric
-// bit-identity of a distance-heavy multi-metric run at 1/2/8 threads.
+// TraversalSummary folds, the cached MaxDegree, full-metric bit-identity
+// of a distance-heavy multi-metric run at 1/2/8 threads, and
+// MultiSourceBfs against a per-source BfsLevels fold (including a zero
+// heap-allocation check on warm calls).
 #include "src/graph/traversal.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <queue>
+#include <stdexcept>
 
 #include "src/engine/batch_runner.h"
 #include "src/graph/generators.h"
 #include "src/metrics/distance.h"
+#include "src/obs/counters.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/msbfs_shapes.h"
+
+namespace {
+// Heap allocations made by this test binary, bumped by the operator new
+// replacements below (the warm-call zero-allocation test reads it).
+std::atomic<uint64_t> g_alloc_count{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sparsify {
 namespace {
@@ -338,6 +370,113 @@ TEST(TraversalKernelTest, DistanceMetricsBitIdenticalAcrossThreadCounts) {
   std::vector<double> one = run_at(1);
   EXPECT_EQ(one, run_at(2));
   EXPECT_EQ(one, run_at(8));
+}
+
+// Per-source reference for one MultiSourceBfs lane: a single-source BFS
+// folded into the same {reached, level_sum, max_level} record.
+MultiSourceRecord FoldBfsLevels(const Graph& g, NodeId src,
+                                TraversalScratch& scratch) {
+  BfsLevels(g, src, scratch);
+  MultiSourceRecord rec;
+  rec.reached = 0;
+  for (NodeId v = 0; v < g.NumVertices(); ++v) {
+    if (!scratch.Reached(v)) continue;
+    ++rec.reached;
+    rec.level_sum += scratch.LevelOf(v);
+    rec.max_level = std::max(rec.max_level, scratch.LevelOf(v));
+  }
+  return rec;
+}
+
+TEST(MultiSourceBfsTest, MatchesPerSourceBfsOnEveryShapeAndBatchSize) {
+  TraversalScratch ms_scratch;  // shared: reuse across sizes is part of it
+  TraversalScratch scratch;
+  for (const testing_util::NamedShape& shape :
+       testing_util::MultiSourceShapes()) {
+    const Graph& g = shape.graph;
+    const NodeId n = g.NumVertices();
+    if (n == 0) {
+      MultiSourceBfs(g, {}, ms_scratch, {});  // no sources, no records
+      continue;
+    }
+    Rng rng(99);
+    for (size_t batch : {1, 2, 63, 64}) {
+      std::vector<NodeId> sources(batch);
+      for (size_t i = 0; i < batch; ++i) {
+        sources[i] = static_cast<NodeId>(rng.NextUint(n));
+      }
+      if (batch > 1) sources.back() = sources.front();  // a duplicate lane
+      std::vector<MultiSourceRecord> got(batch);
+      MultiSourceBfs(g, sources, ms_scratch, got);
+      for (size_t i = 0; i < batch; ++i) {
+        const MultiSourceRecord want = FoldBfsLevels(g, sources[i], scratch);
+        EXPECT_EQ(got[i].reached, want.reached)
+            << shape.name << " batch=" << batch << " lane=" << i;
+        EXPECT_EQ(got[i].level_sum, want.level_sum)
+            << shape.name << " batch=" << batch << " lane=" << i;
+        EXPECT_EQ(got[i].max_level, want.max_level)
+            << shape.name << " batch=" << batch << " lane=" << i;
+      }
+    }
+  }
+}
+
+TEST(MultiSourceBfsTest, DirectedLanesFollowOutArcsOnly) {
+  // Hub -> leaf star: the hub's lane reaches every leaf at level 1, a
+  // leaf's lane reaches nothing but itself.
+  std::vector<Edge> arcs;
+  for (NodeId v = 1; v < 70; ++v) arcs.push_back({0, v});
+  Graph g = Graph::FromEdges(70, arcs, true, false);
+  TraversalScratch scratch;
+  const std::array<NodeId, 2> sources = {0, 5};
+  std::array<MultiSourceRecord, 2> rec;
+  MultiSourceBfs(g, sources, scratch, rec);
+  EXPECT_EQ(rec[0].reached, 70u);
+  EXPECT_EQ(rec[0].level_sum, 69u);
+  EXPECT_EQ(rec[0].max_level, 1u);
+  EXPECT_EQ(rec[1].reached, 1u);
+  EXPECT_EQ(rec[1].level_sum, 0u);
+  EXPECT_EQ(rec[1].max_level, 0u);
+}
+
+TEST(MultiSourceBfsTest, RejectsMoreThan64SourcesOrMismatchedRecords) {
+  Graph g = Graph::FromEdges(2, {{0, 1}}, false, false);
+  TraversalScratch scratch;
+  std::vector<NodeId> sources(65, 0);
+  std::vector<MultiSourceRecord> rec(65);
+  EXPECT_THROW(MultiSourceBfs(g, sources, scratch, rec),
+               std::invalid_argument);
+  sources.resize(2);
+  rec.resize(1);
+  EXPECT_THROW(MultiSourceBfs(g, sources, scratch, rec),
+               std::invalid_argument);
+}
+
+TEST(MultiSourceBfsTest, WarmCallAllocatesNothingAndBumpsCountersOnce) {
+  Rng rng(3);
+  Graph g = BarabasiAlbert(500, 4, rng);
+  std::array<NodeId, kMultiSourceWidth> sources;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    sources[i] = static_cast<NodeId>(i * 7);
+  }
+  std::array<MultiSourceRecord, kMultiSourceWidth> rec;
+  TraversalScratch scratch;
+  MultiSourceBfs(g, sources, scratch, rec);  // sizes the scratch
+  obs::Counter& calls = obs::GetCounter("traversal.msbfs_calls");
+  obs::Counter& levels = obs::GetCounter("traversal.msbfs_levels");
+  const uint64_t calls_before = calls.Value();
+  const uint64_t levels_before = levels.Value();
+  const uint64_t allocs_before = g_alloc_count.load();
+  MultiSourceBfs(g, sources, scratch, rec);
+  EXPECT_EQ(g_alloc_count.load(), allocs_before);
+  EXPECT_EQ(calls.Value(), calls_before + 1);
+  // One level per round scanned, including the final round that finds
+  // nothing new: max level + 1 in total.
+  uint32_t max_level = 0;
+  for (const MultiSourceRecord& r : rec) {
+    max_level = std::max(max_level, r.max_level);
+  }
+  EXPECT_EQ(levels.Value(), levels_before + max_level + 1);
 }
 
 }  // namespace
