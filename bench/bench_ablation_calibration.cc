@@ -1,5 +1,5 @@
-// Ablation (DESIGN.md section 5, decision 1): prune-rate calibration
-// accuracy and cost. Sparsifiers with a native coarse knob (KN's k, LD's
+// Ablation of this reproduction's prune-rate calibration: its accuracy
+// and cost. Sparsifiers with a native coarse knob (KN's k, LD's
 // alpha, LS's exponent c) are calibrated by binary search; this bench
 // reports, for every sparsifier and requested rate, the achieved rate and
 // the sparsification time — quantifying both the calibration error (the

@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md section 5, decision 3): accuracy/cost trade-off of
+// Ablation of this reproduction's ER solver: accuracy/cost trade-off of
 // the Effective Resistance estimator — Johnson-Lindenstrauss dimension and
 // CG tolerance vs (a) resistance-sum error, (b) quadratic-form preservation
 // of the resulting ER-weighted sparsifier, and (c) wall-clock time.

@@ -1,5 +1,5 @@
-// Ablation (DESIGN.md section 5, decision 2): exact sorted-CSR Jaccard vs
-// the original L-Spar's min-wise hashing. Reports estimator error, kept-
+// Ablation of this reproduction's exact sorted-CSR Jaccard vs the
+// original L-Spar's min-wise hashing. Reports estimator error, kept-
 // edge agreement between LS and LS-MH, downstream clustering-F1 impact,
 // and time — quantifying what the exactness simplification buys and costs.
 #include <cmath>

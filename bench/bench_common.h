@@ -1,17 +1,16 @@
-// Shared helpers for the figure-regeneration benches.
+// Shared helpers for the benches that keep their own mains: bench_gnn
+// (its metrics need training state) and bench_traversal (the gated
+// traversal kernel). Registry figures run as `sparsify_cli figure <id ...>`.
 //
-// Every bench binary accepts:
+// ParseOptions accepts:
 //   --scale=<f>   dataset size multiplier (default per bench; smaller =
-//                 faster); datasets are synthetic stand-ins, see DESIGN.md
+//                 faster); datasets are synthetic stand-ins, see
+//                 src/graph/datasets.h
 //   --runs=<n>    runs per non-deterministic sparsifier (paper: 10)
 //   --threads=<n> worker threads for the batch engine (default: hardware
 //                 concurrency; output is identical at any thread count)
 //   --seed=<n>    master seed of the sweep grid (default 42)
 //   --csv         emit CSV rows instead of pivot tables
-//   --store=<dir> persist every completed unit in the store directory
-//                 dir (the sweep appends to a log segment of its own;
-//                 `sparsify_cli compact` folds them into dir/results.jsonl)
-//   --resume      consult the store first; schedule only missing units
 //
 // Unknown --flags are an error, not a silent no-op: a typo like
 // `--thread=8` must abort instead of quietly running a default config.
@@ -89,14 +88,11 @@ struct BenchOptions {
   int threads = 0;  // <= 0 selects hardware concurrency
   uint64_t seed = 42;
   bool csv = false;
-  std::string store;  // empty = no persistence
-  bool resume = false;
-  std::string trace;  // empty = spans stay disabled
 };
 
 inline void PrintBenchUsage(std::ostream& os) {
   os << "usage: bench [--scale=f] [--runs=n] [--threads=n] [--seed=n] "
-        "[--csv] [--store=dir] [--resume] [--trace=file]\n";
+        "[--csv]\n";
 }
 
 /// Strict numeric flag values: `--runs=3x` or `--scale=abc` must abort,
@@ -162,12 +158,6 @@ inline BenchOptions ParseOptions(int argc, char** argv,
           static_cast<int>(ParseIntFlag(arg.c_str() + 10, "--threads"));
     } else if (arg.rfind("--seed=", 0) == 0) {
       opt.seed = ParseUint64Flag(arg.c_str() + 7, "--seed");
-    } else if (arg.rfind("--store=", 0) == 0) {
-      opt.store = arg.substr(8);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      opt.trace = arg.substr(8);
-    } else if (arg == "--resume") {
-      opt.resume = true;
     } else if (arg == "--csv") {
       opt.csv = true;
     } else if (arg == "--help") {
@@ -184,7 +174,7 @@ inline BenchOptions ParseOptions(int argc, char** argv,
 
 /// Runs one figure's sweep and prints it in the requested format. Used by
 /// benches whose metrics need bench-local state (e.g. the GNN training
-/// protocol); registry figures go through FigureBenchMain instead. The
+/// protocol); registry figures run through `sparsify_cli figure`. The
 /// sweep's cells are named like the CLI's — dataset `name@scale`, metric
 /// `value_name` — which also seeds their metric streams.
 inline void RunFigure(const std::string& title, const std::string& value_name,
@@ -211,24 +201,6 @@ inline void RunFigure(const std::string& title, const std::string& value_name,
   } else {
     PrintSeriesTable(std::cout, title, value_name, series, reference);
   }
-}
-
-/// Main body of the thin per-figure bench wrappers: parses the standard
-/// bench flags and runs the listed registry figures (src/cli/figures.h)
-/// through the resumable sweep engine. --scale defaults to each figure's
-/// own default, so converted benches keep their historical sizing.
-inline int FigureBenchMain(int argc, char** argv,
-                           const std::vector<std::string>& figure_ids) {
-  BenchOptions opt = ParseOptions(argc, argv, /*default_scale=*/0.0);
-  cli::FigureRunOptions fopt;
-  fopt.scale = opt.scale;
-  fopt.runs = opt.runs;
-  fopt.threads = opt.threads;
-  fopt.seed = opt.seed;
-  fopt.csv = opt.csv;
-  fopt.store_dir = opt.store;
-  fopt.resume = opt.resume;
-  return cli::RunFigures(figure_ids, fopt, std::cout);
 }
 
 }  // namespace sparsify::bench

@@ -113,6 +113,12 @@ void Run(int argc, char** argv) {
 }  // namespace sparsify
 
 int main(int argc, char** argv) {
-  sparsify::Run(argc, argv);
+  try {
+    sparsify::Run(argc, argv);
+  } catch (const std::exception& e) {
+    // E.g. --scale=-1, which LoadDatasetScaled rejects.
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
   return 0;
 }

@@ -1,7 +1,7 @@
 // Regenerates the paper's three tables from the code's own registries:
 //   Table 1 - metric applicability to graph types
 //   Table 2 - sparsifier applicability and characteristics
-//   Table 3 - dataset inventory (synthetic stand-ins, DESIGN.md section 3)
+//   Table 3 - dataset inventory (synthetic stand-ins, src/graph/datasets.h)
 #include <iomanip>
 #include <iostream>
 

@@ -1,12 +1,11 @@
 // Registry of the paper's sweep-shaped figures: dataset, sparsifier list,
-// metric, and reference line for each, extracted from the former per-figure
-// bench mains so that one driver (RunFigures) serves both the bench
-// binaries (now thin wrappers) and `sparsify_cli figure`.
+// metric, and reference line for each. One driver (RunFigures) runs them
+// all; `sparsify_cli figure <id ...>` is its entry point. (Figure 13, the
+// GNN figure, stays in bench_gnn: its metrics need training state.)
 //
 // Figures whose metric needs a full-graph reference (centrality top-100
 // precision, clustering F1) precompute it once per dataset via
-// `make_metric`, exactly as the original benches did — including their
-// fixed reference seeds, so converted benches reproduce the same numbers.
+// `make_metric`, with a fixed reference seed per figure.
 #ifndef SPARSIFY_CLI_FIGURES_H_
 #define SPARSIFY_CLI_FIGURES_H_
 

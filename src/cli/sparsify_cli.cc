@@ -182,6 +182,13 @@ struct ScaleSpec {
 };
 
 ScaleSpec ParseScaleSpec(const std::string& value) {
+  auto parse_scale = [](const std::string& text) {
+    double scale = ParseDoubleValue("scale", text);
+    // `!(scale > 0)` also rejects NaN; infinity and scales too large for
+    // a vertex count fail in LoadDatasetScaled.
+    if (!(scale > 0)) throw std::invalid_argument("--scale must be > 0");
+    return scale;
+  };
   ScaleSpec spec;
   bool have_default = false;
   for (const std::string& part : SplitCsv(value)) {
@@ -191,7 +198,7 @@ ScaleSpec ParseScaleSpec(const std::string& value) {
         throw std::invalid_argument("--scale lists more than one default "
                                     "scale: '" + value + "'");
       }
-      spec.default_scale = ParseDoubleValue("scale", part);
+      spec.default_scale = parse_scale(part);
       have_default = true;
     } else {
       std::string name = part.substr(0, eq);
@@ -199,7 +206,7 @@ ScaleSpec ParseScaleSpec(const std::string& value) {
         throw std::invalid_argument("--scale override missing a dataset "
                                     "name: '" + part + "'");
       }
-      spec.overrides[name] = ParseDoubleValue("scale", part.substr(eq + 1));
+      spec.overrides[name] = parse_scale(part.substr(eq + 1));
     }
   }
   return spec;
@@ -895,6 +902,12 @@ int CmdFigure(const Args& args) {
   }
   FigureRunOptions opt;
   opt.scale = args.GetDouble("scale", 0.0);
+  // Omitted means each figure's own default; an explicit value must be a
+  // real scale, not a silent fallback to that default.
+  if (args.Has("scale") && !(opt.scale > 0)) {
+    std::cerr << "error: --scale must be > 0\n";
+    return 1;
+  }
   opt.runs = args.GetInt("runs", 3);
   opt.threads = args.GetInt("threads", 0);
   opt.seed = args.GetUint64("seed", 42);

@@ -4,7 +4,7 @@
 // The paper trains GraphSAGE and ClusterGCN with PyG on an A40 GPU; this
 // reproduction implements the same computations (mean-aggregation message
 // passing + MLP + softmax classification) directly, sized for CPU training
-// on the synthetic stand-in datasets (see DESIGN.md section 3).
+// on the synthetic stand-in datasets (src/graph/datasets.h).
 #ifndef SPARSIFY_GNN_NN_H_
 #define SPARSIFY_GNN_NN_H_
 

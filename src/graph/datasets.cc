@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "src/graph/generators.h"
@@ -26,8 +28,20 @@ struct Recipe {
   Dataset (*build)(double scale);
 };
 
+std::invalid_argument BadScale(double scale, const char* why) {
+  std::ostringstream msg;
+  msg << "dataset scale " << scale << " " << why;
+  return std::invalid_argument(msg.str());
+}
+
+// Vertex count of a recipe of `n` vertices at `scale`. A product that
+// does not fit in NodeId would make the cast undefined, so it throws.
 NodeId Scaled(NodeId n, double scale) {
-  return std::max<NodeId>(64, static_cast<NodeId>(n * scale));
+  const double scaled = n * scale;
+  if (!(scaled < static_cast<double>(std::numeric_limits<NodeId>::max()))) {
+    throw BadScale(scale, "gives more vertices than NodeId holds");
+  }
+  return std::max<NodeId>(64, static_cast<NodeId>(scaled));
 }
 
 Dataset BuildEgoFacebook(double s) {
@@ -201,6 +215,9 @@ std::vector<DatasetInfo> AllDatasetInfos() {
 
 Dataset LoadDatasetScaled(const std::string& name, double scale) {
   const Recipe& r = FindRecipe(name);
+  if (!std::isfinite(scale) || scale <= 0) {
+    throw BadScale(scale, "is not finite and > 0");
+  }
   Dataset d = r.build(scale);
   d.info = r.info;
   // Preprocessing step 1 (paper section 3.1): remove isolated vertices and

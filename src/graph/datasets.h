@@ -4,8 +4,10 @@
 // The real datasets (SNAP, SuiteSparse, OGB) cannot ship with this offline
 // reproduction, so each is replaced by a generator configuration that
 // matches its category's structural traits and Table 3 flags (directedness,
-// weights, connectivity), scaled to laptop size. The mapping is documented
-// in DESIGN.md section 3. Seeds are fixed: `LoadDataset` is deterministic.
+// weights, connectivity), scaled to laptop size. Each recipe's generator
+// is named in its `DatasetInfo::standin` (the "stand-in" column that
+// `bench_tables` prints as Table 3). Seeds are fixed: `LoadDataset` is
+// deterministic.
 #ifndef SPARSIFY_GRAPH_DATASETS_H_
 #define SPARSIFY_GRAPH_DATASETS_H_
 
@@ -45,7 +47,9 @@ std::vector<DatasetInfo> AllDatasetInfos();
 Dataset LoadDataset(const std::string& name);
 
 /// Loads a size-reduced variant for fast tests: same generator family and
-/// flags, roughly `scale` times fewer vertices (scale in (0, 1]).
+/// flags, roughly `scale` times fewer vertices (scale in (0, 1]). Throws
+/// std::invalid_argument unless `scale` is finite and > 0 and the scaled
+/// vertex count fits in NodeId.
 Dataset LoadDatasetScaled(const std::string& name, double scale);
 
 }  // namespace sparsify

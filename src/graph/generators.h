@@ -4,8 +4,9 @@
 // (Table 3). Those datasets are not redistributable inside this offline
 // reproduction, so we synthesize stand-ins whose *structural traits* (degree
 // distribution, community structure, triangle density, directedness,
-// density) match each dataset's category — see DESIGN.md section 3. These
-// generators are also used directly by the unit and property tests.
+// density) match each dataset's category; src/graph/datasets.h maps each
+// dataset to its recipe. These generators are also used directly by the
+// unit and property tests.
 #ifndef SPARSIFY_GRAPH_GENERATORS_H_
 #define SPARSIFY_GRAPH_GENERATORS_H_
 

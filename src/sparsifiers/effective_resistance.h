@@ -12,7 +12,8 @@
 // Spielman & Srivastava: R_e ~ ||Z (e_u - e_v)||^2 with Z = Q W^{1/2} B L^+
 // and Q a (k x m) random +-1/sqrt(k) matrix; each of the k rows costs one
 // Laplacian solve, done here with Jacobi-preconditioned CG (the paper uses
-// Laplacians.jl's approxchol solver — see DESIGN.md section 3).
+// Laplacians.jl's approxchol solver; bench_ablation_er measures this
+// solver's JL dimension / CG tolerance trade-off).
 //
 // Two-phase split: PrepareScores pays for the k Laplacian solves AND runs
 // the with-replacement sampling race once to exhaustion, recording the

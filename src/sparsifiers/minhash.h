@@ -4,8 +4,9 @@
 // reference [62]) estimates Jaccard similarity with k independent min-wise
 // hashes instead of exact set intersection, trading accuracy for a strict
 // O(k |E|) bound. Our default L-Spar uses exact sorted-CSR intersection
-// (DESIGN.md section 5, decision 2); this module provides the hashing
-// estimator so the ablation bench can quantify the difference.
+// instead; this module provides the hashing estimator so
+// bench_ablation_similarity can quantify what that exactness buys and
+// costs.
 #ifndef SPARSIFY_SPARSIFIERS_MINHASH_H_
 #define SPARSIFY_SPARSIFIERS_MINHASH_H_
 

@@ -10,7 +10,7 @@
 //   L-Spar (LS):           per vertex, top ceil(deg(v)^c) edges by Jaccard
 //                          (Satuluri et al.; we compute exact Jaccard via
 //                          sorted-CSR intersection instead of min-wise
-//                          hashing — see DESIGN.md section 5).
+//                          hashing; LS-MH below is the hashed variant).
 //   Local Similarity (LSim): per endpoint, edges ranked by Jaccard; edge
 //                          score = max over endpoints of
 //                          1 - log(rank)/log(deg); global top by score
@@ -64,7 +64,8 @@ class LSparSparsifier : public Sparsifier {
   /// With `use_minhash` the per-edge Jaccard scores are estimated by
   /// `num_hashes` min-wise hashes, as in the original Satuluri et al.
   /// algorithm, instead of exact intersection (registered separately as
-  /// the "LS-MH" extension variant; see DESIGN.md section 5, decision 2).
+  /// the "LS-MH" extension variant; bench_ablation_similarity compares the
+  /// two).
   explicit LSparSparsifier(bool use_minhash = false, int num_hashes = 32)
       : use_minhash_(use_minhash), num_hashes_(num_hashes) {}
 

@@ -51,6 +51,40 @@ TEST(CliTest, MalformedNumericValueIsAnError) {
             0);
 }
 
+TEST(CliTest, OutOfRangeScaleIsAnError) {
+  // A scale that is not a finite positive vertex-count multiplier must
+  // stop the run with an error before any graph is generated.
+  auto sweep_stderr = [](const std::string& scale, int* rc) {
+    ::testing::internal::CaptureStderr();
+    *rc = RunCli({"sweep", "--dataset=ego-Facebook", "--metric=degree",
+                  "--algos=RN", "--runs=1", "--scale=" + scale});
+    return ::testing::internal::GetCapturedStderr();
+  };
+  int rc = 0;
+  for (const std::string scale : {"-1", "0", "nan", "0.2,ego-Facebook=-1"}) {
+    std::string err = sweep_stderr(scale, &rc);
+    EXPECT_EQ(rc, cli::kExitUsage) << scale;
+    EXPECT_NE(err.find("error: --scale must be > 0"), std::string::npos)
+        << scale << ": " << err;
+  }
+  // Positive but not a usable size: rejected by LoadDatasetScaled.
+  for (const std::string scale : {"inf", "1e12"}) {
+    std::string err = sweep_stderr(scale, &rc);
+    EXPECT_EQ(rc, cli::kExitUsage) << scale;
+    EXPECT_NE(err.find("error: dataset scale"), std::string::npos)
+        << scale << ": " << err;
+  }
+  // figure: an explicit --scale is checked too, not replaced by each
+  // figure's default.
+  for (const std::string scale : {"-1", "0", "nan", "inf", "1e12"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(RunCli({"figure", "2", "--runs=1", "--scale=" + scale}),
+              cli::kExitUsage)
+        << scale;
+    ::testing::internal::GetCapturedStderr();
+  }
+}
+
 TEST(CliTest, ValueFlagWithoutValueIsAnError) {
   // `--store` with the value forgotten must not become a directory named
   // "true".
@@ -70,12 +104,17 @@ TEST(CliTest, ListSucceeds) {
 }
 
 TEST(CliTest, BooleanFlagDoesNotSwallowPositionalArg) {
-  // `figure --csv 2` must run figure 2, not consume "2" as --csv's value.
+  // `figure --csv 2 1b` must run figures 2 and 1b, not consume "2" as
+  // --csv's value; every listed id runs, in order.
   ::testing::internal::CaptureStdout();
-  int rc = RunCli({"figure", "--csv", "2", "--runs=1", "--scale=0.1"});
+  int rc = RunCli({"figure", "--csv", "2", "1b", "--runs=1", "--scale=0.1"});
   std::string out = ::testing::internal::GetCapturedStdout();
   EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find("Figure 2"), std::string::npos);
+  size_t fig2 = out.find("Figure 2");
+  size_t fig1b = out.find("Figure 1b");
+  EXPECT_NE(fig2, std::string::npos);
+  EXPECT_NE(fig1b, std::string::npos);
+  EXPECT_LT(fig2, fig1b);
 }
 
 TEST(CliTest, SeedAboveIntMaxIsPreserved) {
@@ -123,6 +162,8 @@ TEST(CliTest, MultiMetricSweepSharesSubgraphs) {
   EXPECT_NE(out.find("total=18"), std::string::npos);
   EXPECT_NE(out.find("submitted=18"), std::string::npos);
   EXPECT_NE(out.find("subgraph_builds=9"), std::string::npos);
+  // One scoring pass per (sparsifier, run) group: RN x 2 runs + LD.
+  EXPECT_NE(out.find("score_groups=3"), std::string::npos);
   // Both metrics' series are printed.
   EXPECT_NE(out.find("# degree on ego-Facebook@0.1"), std::string::npos);
   EXPECT_NE(out.find("# kcore on ego-Facebook@0.1"), std::string::npos);

@@ -2,6 +2,10 @@
 // stands in for the paper's Table 3.
 #include "src/graph/generators.h"
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "src/graph/datasets.h"
@@ -130,6 +134,19 @@ TEST(DatasetsTest, FourteenDatasets) {
 
 TEST(DatasetsTest, UnknownNameThrows) {
   EXPECT_THROW(LoadDataset("no-such-graph"), std::invalid_argument);
+}
+
+TEST(DatasetsTest, OutOfRangeScaleThrows) {
+  // The vertex count is `n * scale` cast to NodeId: a scale that is not
+  // finite and positive, or whose product overflows NodeId, must throw
+  // instead of reaching that cast.
+  for (double scale : {-1.0, 0.0, -0.0, std::nan(""),
+                       std::numeric_limits<double>::infinity(), 1e12}) {
+    for (const std::string& name : DatasetNames()) {
+      EXPECT_THROW(LoadDatasetScaled(name, scale), std::invalid_argument)
+          << name << " at scale " << scale;
+    }
+  }
 }
 
 TEST(DatasetsTest, LoadIsDeterministic) {
