@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench/bench_common.h"
 #include "src/gnn/data.h"
 #include "src/gnn/models.h"
 #include "src/graph/datasets.h"
@@ -72,11 +73,8 @@ void Run(double scale) {
 }  // namespace sparsify
 
 int main(int argc, char** argv) {
-  double scale = 0.35;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) scale = std::atof(arg.c_str() + 8);
-  }
-  sparsify::Run(scale);
+  // Only --scale applies here; the shared parser still rejects unknown
+  // flags and malformed numbers (exit 2).
+  sparsify::Run(sparsify::bench::ParseOptions(argc, argv, 0.35).scale);
   return 0;
 }

@@ -1,6 +1,7 @@
 // Shared helpers for the benches that keep their own mains: bench_gnn
-// (its metrics need training state) and bench_traversal (the gated
-// traversal kernel). Registry figures run as `sparsify_cli figure <id ...>`.
+// (its metrics need training state), bench_traversal (the gated
+// traversal kernel), the ablations and bench_tables (which read only
+// --scale). Registry figures run as `sparsify_cli figure <id ...>`.
 //
 // ParseOptions accepts:
 //   --scale=<f>   dataset size multiplier (default per bench; smaller =

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "bench/bench_common.h"
 #include "src/eval/metric_info.h"
 #include "src/graph/datasets.h"
 #include "src/sparsifiers/sparsifier.h"
@@ -98,11 +99,9 @@ void PrintTable3(double scale) {
 }  // namespace sparsify
 
 int main(int argc, char** argv) {
-  double scale = 0.5;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) scale = std::atof(arg.c_str() + 8);
-  }
+  // Only --scale applies (Table 3's dataset sizes); the shared parser
+  // still rejects unknown flags and malformed numbers (exit 2).
+  double scale = sparsify::bench::ParseOptions(argc, argv, 0.5).scale;
   sparsify::PrintTable1();
   sparsify::PrintTable2();
   sparsify::PrintTable3(scale);

@@ -162,16 +162,17 @@ uint64_t BatchRunner::MetricSeed(uint64_t master_seed,
   return SplitMix(master_seed ^ SplitMix(h));
 }
 
-std::vector<BatchTask> BatchRunner::ExpandGrid(const BatchSpec& spec) {
+std::vector<BatchTask> BatchRunner::ExpandGrid(const SweepConfig& config) {
   std::vector<std::string> names =
-      spec.sparsifiers.empty() ? SparsifierNames() : spec.sparsifiers;
+      config.sparsifiers.empty() ? SparsifierNames() : config.sparsifiers;
   std::vector<BatchTask> tasks;
   for (const std::string& name : names) {
     SparsifierInfo info = CreateSparsifier(name)->Info();
     bool fixed_output = info.prune_rate_control == PruneRateControl::kNone;
     std::vector<double> rates =
-        fixed_output ? std::vector<double>{0.0} : spec.prune_rates;
-    int runs = info.deterministic ? 1 : std::max(1, spec.runs);
+        fixed_output ? std::vector<double>{0.0} : config.prune_rates;
+    int runs =
+        info.deterministic ? 1 : std::max(1, config.runs_nondeterministic);
     for (double rate : rates) {
       for (int run = 0; run < runs; ++run) {
         BatchTask task;
@@ -188,7 +189,7 @@ std::vector<BatchTask> BatchRunner::ExpandGrid(const BatchSpec& spec) {
 std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     const Graph& g, const std::string& dataset,
     const std::vector<BatchTask>& tasks, uint64_t master_seed,
-    const std::vector<BatchMetric>& metrics,
+    const std::vector<SweepMetric>& metrics,
     const UnitCallback& on_result, BatchRunStats* stats,
     const FaultPolicy& faults) const {
   if (metrics.empty()) {

@@ -33,19 +33,45 @@
 
 namespace sparsify {
 
-/// Metric evaluated on (original, sparsified); identical shape to
-/// eval::MetricFn so sweep metrics pass through unchanged.
-using BatchMetricFn =
+/// Metric evaluated on (original, sparsified). Each evaluation receives
+/// its own seeded rng stream so sampled metrics are reproducible.
+///
+/// Thread-safety contract (audited in tests/test_multi_metric.cc): the
+/// engine invokes the callable from multiple worker threads at once —
+/// concurrently across cells AND, in a multi-metric sweep, concurrently
+/// with the cell's other metrics on the same shared subgraph. It must not
+/// mutate state shared between invocations without synchronization
+/// (capture by value, use thread_local scratch, or use a BatchRunner(1)).
+/// During an engine-run evaluation
+/// CurrentSubtaskPool() exposes the worker pool, so a metric may fan its
+/// independent per-source work out via NestedParallelFor — such subtasks
+/// must write disjoint slots and fold in a FIXED order (never by thread
+/// count) to keep results bit-identical at any parallelism; see
+/// ApproxBetweennessCentrality's fixed-batch partials for the pattern.
+using MetricFn =
     std::function<double(const Graph& original, const Graph& sparsified,
                          Rng& rng)>;
 
-/// One named metric of a multi-metric run. The name participates in each
+/// One named metric of a sweep. The name participates in each
 /// (cell, metric) unit's RNG stream (MetricSeed) and is what a result
 /// store keys cells by, so it must be the stable registry name of the
-/// computation — not a display label.
-struct BatchMetric {
+/// computation — not a display label (see cli::NamedMetrics).
+struct SweepMetric {
   std::string name;
-  BatchMetricFn fn;
+  MetricFn fn;
+};
+
+/// Sweep grid configuration. Expansion (ExpandGrid) mirrors the paper's
+/// sweep protocol: deterministic sparsifiers contribute one run per rate
+/// regardless of `runs_nondeterministic`, and sparsifiers without
+/// prune-rate control (SF, SP-t) collapse the rate axis to a single
+/// entry.
+struct SweepConfig {
+  std::vector<std::string> sparsifiers;  // short names; empty = all
+  std::vector<double> prune_rates = {0.1, 0.2, 0.3, 0.4, 0.5,
+                                     0.6, 0.7, 0.8, 0.9};
+  int runs_nondeterministic = 5;  // paper uses 10
+  uint64_t seed = 42;             // master seed of every RNG stream
 };
 
 /// One expanded cell of the grid.
@@ -86,18 +112,6 @@ struct BatchMultiResult {
   BatchTask task;
   double achieved_prune_rate = 0.0;
   std::vector<BatchMetricValue> values;  // in the task's metric-id order
-};
-
-/// Grid specification. Expansion mirrors the paper's sweep protocol:
-/// deterministic sparsifiers contribute one run per rate regardless of
-/// `runs`, and sparsifiers without prune-rate control (SF, SP-t) collapse
-/// the rate axis to a single entry.
-struct BatchSpec {
-  std::vector<std::string> sparsifiers;  // short names; empty = all
-  std::vector<double> prune_rates = {0.1, 0.2, 0.3, 0.4, 0.5,
-                                     0.6, 0.7, 0.8, 0.9};
-  int runs = 1;              // repeats per non-deterministic sparsifier
-  uint64_t master_seed = 42;
 };
 
 /// Scheduling counters of one RunTasksMulti call: how much work the
@@ -192,9 +206,9 @@ class BatchRunner {
   /// Zeroes the pool counters so a profile run measures only itself.
   void ResetPoolStats();
 
-  /// Expands `spec` into the task grid. Deterministic and thread-free;
+  /// Expands `config` into the task grid. Deterministic and thread-free;
   /// exposed so callers can inspect or shard the grid.
-  static std::vector<BatchTask> ExpandGrid(const BatchSpec& spec);
+  static std::vector<BatchTask> ExpandGrid(const SweepConfig& config);
 
   /// Seed of the shared scoring stream of group (sparsifier, run) under
   /// `master_seed`. Depends only on these three values — not on the grid
@@ -236,7 +250,7 @@ class BatchRunner {
   /// composition — a {a,b} run computes exactly the {a}-run and {b}-run
   /// values. During each evaluation the engine's pool is exposed as
   /// CurrentSubtaskPool(), so sampled metrics fan their BFS batches out as
-  /// subtasks (see eval::MetricFn's thread-safety contract).
+  /// subtasks (see MetricFn's thread-safety contract).
   ///
   /// When `g` is directed, sparsifiers whose SparsifierInfo does not
   /// support directed input receive the symmetrized graph (computed once,
@@ -253,7 +267,7 @@ class BatchRunner {
   std::vector<BatchMultiResult> RunTasksMulti(
       const Graph& g, const std::string& dataset,
       const std::vector<BatchTask>& tasks, uint64_t master_seed,
-      const std::vector<BatchMetric>& metrics,
+      const std::vector<SweepMetric>& metrics,
       const UnitCallback& on_result = nullptr,
       BatchRunStats* stats = nullptr,
       const FaultPolicy& faults = FaultPolicy()) const;

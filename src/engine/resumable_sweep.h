@@ -12,6 +12,7 @@
 #ifndef SPARSIFY_ENGINE_RESUMABLE_SWEEP_H_
 #define SPARSIFY_ENGINE_RESUMABLE_SWEEP_H_
 
+#include <atomic>
 #include <functional>
 #include <string>
 #include <vector>
@@ -21,13 +22,6 @@
 #include "src/store/result_store.h"
 
 namespace sparsify {
-
-/// One named metric of a resumable sweep; the name is the store's (and
-/// MetricSeed's) identity for the computation — see cli::NamedMetrics.
-struct SweepMetric {
-  std::string name;
-  MetricFn fn;
-};
 
 /// One metric's folded sweep output.
 struct MetricSweepSeries {
@@ -110,10 +104,12 @@ class ResumableSweep {
   void set_reuse_cached(bool reuse) { reuse_cached_ = reuse; }
 
   /// Per-unit progress callback: invoked as each SUBMITTED (cell, metric)
-  /// unit completes, with the running completed count and the submitted
-  /// total (cached units are excluded — they were never work). Fires on
-  /// worker threads, concurrently; the callback must synchronize its own
-  /// state and stay cheap. Drives the CLI's --progress heartbeat.
+  /// unit completes (or is recorded as failed), with the running completed
+  /// count and the submitted total (cached units are excluded — they were
+  /// never work; a shard worker reports against the full grid instead,
+  /// since its share grows with every steal). Fires on worker threads,
+  /// concurrently; the callback must synchronize its own state and stay
+  /// cheap. Drives the CLI's --progress heartbeat.
   using ProgressFn = std::function<void(size_t completed, size_t submitted)>;
   void set_progress(ProgressFn progress) { progress_ = std::move(progress); }
 
@@ -125,8 +121,10 @@ class ResumableSweep {
   /// under its CellKey. Error records read back as missing, so the next
   /// --resume resubmits exactly the failed units; a later success
   /// overwrites the error (last write wins).
-  void set_fault_tolerant(bool on) { fault_tolerant_ = on; }
-  void set_max_unit_retries(int retries) { max_unit_retries_ = retries; }
+  void set_fault_tolerant(bool on) { faults_.tolerate = on; }
+  void set_max_unit_retries(int retries) {
+    faults_.max_unit_retries = retries;
+  }
 
   /// Whole-run cooperative cancellation token (see FaultPolicy::cancel).
   /// When it trips — SIGINT/SIGTERM via the CLI's signal bridge, or a
@@ -134,11 +132,13 @@ class ResumableSweep {
   /// at their next check, completed units are already appended, and
   /// nothing is recorded for the rest: the next --resume picks up where
   /// the cancelled run stopped, bit-identically. Must outlive RunMulti.
-  void set_cancel_token(const CancelToken* token) { cancel_ = token; }
+  void set_cancel_token(const CancelToken* token) { faults_.cancel = token; }
 
   /// Per-(cell, metric) deadline in seconds (0 = off). A unit exceeding
   /// it fails alone with a "deadline" error record; see FaultPolicy.
-  void set_unit_timeout(double seconds) { unit_timeout_seconds_ = seconds; }
+  void set_unit_timeout(double seconds) {
+    faults_.unit_timeout_seconds = seconds;
+  }
 
   /// Runs this sweep as shard `spec.index` of `spec.total` cooperating
   /// worker processes sharing one store directory (implemented in
@@ -181,14 +181,44 @@ class ResumableSweep {
       const std::vector<SweepMetric>& metrics, const SweepConfig& config,
       ResumableSweepStats* stats);
 
+  // The store key of one (cell, metric) unit.
+  CellKey KeyOf(const std::string& dataset, const SweepConfig& config,
+                const BatchTask& task, const std::string& metric) const;
+
+  // Resolves `slot` from the store's record under `key`. False when the
+  // unit has no record or only an error record: a failed unit reads back
+  // as missing, so a resume resubmits it.
+  bool ResolveStored(const CellKey& key, BatchResult& slot) const;
+
+  // The one submission routine of the unsharded and the sharded path.
+  // Runs `missing` (each task carrying its missing metric ids) through
+  // RunTasksMulti under faults_; appends each finished unit to the store
+  // (a failed one as an error record, fault-tolerant mode) and counts it
+  // into `completed` for the progress callback, which reports against
+  // `progress_total`; adds the submitted units and the run's
+  // BatchRunStats into `stats`. Returns the engine's results in
+  // `missing` order.
+  std::vector<BatchMultiResult> SubmitUnits(
+      const Graph& g, const std::string& dataset,
+      const std::vector<SweepMetric>& metrics, const SweepConfig& config,
+      const std::vector<BatchTask>& missing, size_t progress_total,
+      std::atomic<size_t>& completed, ResumableSweepStats& stats) const;
+
+  // One unresolved slot per (metric, grid cell), each carrying its task.
+  static std::vector<std::vector<BatchResult>> EmptySlots(
+      const std::vector<BatchTask>& tasks, size_t num_metrics);
+
+  // Folds each metric's full-grid slots into its series (FoldSweepResults),
+  // in `metrics` order.
+  static std::vector<MetricSweepSeries> FoldPerMetric(
+      const std::vector<SweepMetric>& metrics, const SweepConfig& config,
+      const std::vector<std::vector<BatchResult>>& results);
+
   BatchRunner& runner_;
   ResultStore* store_;  // not owned; may be null
   std::string code_rev_;
   bool reuse_cached_ = true;
-  bool fault_tolerant_ = false;
-  int max_unit_retries_ = 2;
-  const CancelToken* cancel_ = nullptr;  // not owned; may be null
-  double unit_timeout_seconds_ = 0;
+  FaultPolicy faults_;  // on_unit_failure unset; SubmitUnits attaches it
   ProgressFn progress_;
   ShardSpec shard_;
 };

@@ -63,20 +63,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
   static obs::Counter& claim_count = obs::GetCounter("engine.shard_claims");
   static obs::Counter& steal_count = obs::GetCounter("engine.shard_steals");
 
-  BatchSpec spec = ToBatchSpec(config);
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
-
-  auto key_of = [&](const BatchTask& task, const std::string& metric_name) {
-    CellKey key;
-    key.dataset = dataset;
-    key.sparsifier = task.sparsifier;
-    key.prune_rate = task.prune_rate;
-    key.run = task.run;
-    key.master_seed = spec.master_seed;
-    key.metric = metric_name;
-    key.code_rev = code_rev_;
-    return key;
-  };
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
 
   // ~8 chunks per worker: coarse enough that claim records stay few,
   // fine enough that a dead worker's unfinished work spreads over the
@@ -91,7 +78,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
   // differently and are ignored.
   std::string scope_src = dataset;
   scope_src.push_back('\x1f');
-  scope_src += std::to_string(spec.master_seed);
+  scope_src += std::to_string(config.seed);
   scope_src.push_back('\x1f');
   scope_src += code_rev_;
   scope_src.push_back('\x1f');
@@ -122,13 +109,9 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
   accum.total_cells = total_units;
   accum.shard_chunks = num_chunks;
 
-  std::vector<BatchMetric> engine_metrics;
-  engine_metrics.reserve(metrics.size());
-  for (const SweepMetric& m : metrics) {
-    engine_metrics.push_back(BatchMetric{m.name, m.fn});
-  }
-
-  auto cancelled = [&] { return cancel_ != nullptr && cancel_->Cancelled(); };
+  auto cancelled = [&] {
+    return faults_.cancel != nullptr && faults_.cancel->Cancelled();
+  };
 
   // `errors_count` = an error record satisfies the unit. Phase A (a
   // worker's own chunks) says no — resume semantics, stale errors are
@@ -136,7 +119,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
   // ping-pong a deterministically failing unit forever.
   auto unit_present = [&](size_t i, size_t m, bool errors_count) {
     std::optional<StoredCell> cached =
-        store_->Lookup(key_of(tasks[i], metrics[m].name));
+        store_->Lookup(KeyOf(dataset, config, tasks[i], metrics[m].name));
     if (!cached.has_value()) return false;
     return errors_count || !cached->is_error;
   };
@@ -170,56 +153,13 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
     return false;
   };
 
-  std::atomic<size_t> completed_units{0};
-  auto run_units = [&](std::vector<BatchTask> missing) {
+  // Progress counts against the full grid: a shard worker cannot know
+  // its final share up front (it grows with every steal).
+  std::atomic<size_t> completed{0};
+  auto run_units = [&](const std::vector<BatchTask>& missing) {
     if (missing.empty() || cancelled()) return;
-    size_t submitted = 0;
-    for (const BatchTask& task : missing) submitted += task.metrics.size();
-    accum.submitted_cells += submitted;
-    BatchRunner::UnitCallback on_unit =
-        [&](const BatchTask& task, double achieved, uint32_t m,
-            double value) {
-          store_->Append(key_of(task, metrics[m].name), achieved, value);
-          if (progress_) {
-            size_t done =
-                completed_units.fetch_add(1, std::memory_order_relaxed) + 1;
-            // Denominator = the full grid: a shard worker cannot know
-            // its final share up front (it grows with every steal).
-            progress_(done, total_units);
-          }
-        };
-    FaultPolicy faults;
-    faults.tolerate = fault_tolerant_;
-    faults.max_unit_retries = max_unit_retries_;
-    faults.cancel = cancel_;
-    faults.unit_timeout_seconds = unit_timeout_seconds_;
-    if (fault_tolerant_) {
-      faults.on_unit_failure = [&](const BatchTask& task, uint32_t m,
-                                   const std::string& error_class,
-                                   const std::string& error_message,
-                                   int attempts) {
-        store_->AppendError(key_of(task, metrics[m].name), error_class,
-                            error_message, attempts);
-        if (progress_) {
-          size_t done =
-              completed_units.fetch_add(1, std::memory_order_relaxed) + 1;
-          progress_(done, total_units);
-        }
-      };
-    }
-    BatchRunStats run_stats;
-    runner_.RunTasksMulti(g, dataset, missing, spec.master_seed,
-                          engine_metrics, on_unit, &run_stats, faults);
-    accum.score_groups += run_stats.score_groups;
-    accum.subgraph_builds += run_stats.subgraph_builds;
-    accum.failed_units += run_stats.failed_units;
-    accum.transient_failed_units += run_stats.transient_failed_units;
-    accum.retried_units += run_stats.retried_units;
-    accum.deadline_exceeded_units += run_stats.deadline_exceeded_units;
-    accum.cancelled_units += run_stats.cancelled_units;
-    accum.score_seconds += run_stats.score_seconds;
-    accum.subgraph_seconds += run_stats.subgraph_seconds;
-    accum.metric_seconds += run_stats.metric_seconds;
+    SubmitUnits(g, dataset, metrics, config, missing, total_units, completed,
+                accum);
   };
 
   // --- Phase A: this worker's preferred chunks -------------------------
@@ -234,7 +174,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
     store_->AppendClaim(scope, c);
     ++accum.shard_claimed;
     claim_count.Add();
-    run_units(std::move(missing));
+    run_units(missing);
   }
 
   // --- Phase B: steal dead workers's incomplete chunks -----------------
@@ -279,31 +219,20 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
 
   // --- Reassembly: fold own + peer records into the output series -----
   accum.peer_units += store_->RefreshPeers();
-  std::vector<std::vector<BatchResult>> results(
-      metrics.size(), std::vector<BatchResult>(tasks.size()));
+  // Unresolved units (cancelled mid-run, or a failed unit's error
+  // record) drop out of the fold, exactly like the unsharded
+  // fault-tolerant path.
+  std::vector<std::vector<BatchResult>> results =
+      EmptySlots(tasks, metrics.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
     for (size_t m = 0; m < metrics.size(); ++m) {
-      results[m][i].task = tasks[i];
-      std::optional<StoredCell> cell =
-          store_->Lookup(key_of(tasks[i], metrics[m].name));
-      // Unresolved units (cancelled mid-run, or a failed unit's error
-      // record) drop out of the fold, exactly like the unsharded
-      // fault-tolerant path.
-      if (!cell.has_value() || cell->is_error) continue;
-      results[m][i].achieved_prune_rate = cell->achieved_prune_rate;
-      results[m][i].value = cell->value;
-      results[m][i].resolved = true;
+      ResolveStored(KeyOf(dataset, config, tasks[i], metrics[m].name),
+                    results[m][i]);
     }
   }
   accum.cached_cells = total_units - accum.submitted_cells;
   if (stats != nullptr) *stats = accum;
-
-  std::vector<MetricSweepSeries> out(metrics.size());
-  for (size_t m = 0; m < metrics.size(); ++m) {
-    out[m].metric = metrics[m].name;
-    out[m].series = FoldSweepResults(config, results[m]);
-  }
-  return out;
+  return FoldPerMetric(metrics, config, results);
 }
 
 }  // namespace sparsify

@@ -1,39 +1,46 @@
 #include "src/eval/experiment.h"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <ostream>
+#include <set>
+#include <sstream>
 
 #include "src/engine/batch_runner.h"
+#include "src/sparsifiers/sparsifier.h"
 #include "src/util/stats.h"
 
 namespace sparsify {
 
-BatchSpec ToBatchSpec(const SweepConfig& config) {
-  BatchSpec spec;
-  spec.sparsifiers = config.sparsifiers;
-  spec.prune_rates = config.prune_rates;
-  spec.runs = config.runs_nondeterministic;
-  spec.master_seed = config.seed;
-  return spec;
+SweepPoint FoldPoint(double requested_prune_rate,
+                     const std::vector<double>& values,
+                     const std::vector<double>& achieved, bool fixed_output) {
+  SweepPoint point;
+  point.mean = Mean(values);
+  point.stddev = StdDev(values);
+  point.achieved_prune_rate = Mean(achieved);
+  point.requested_prune_rate =
+      fixed_output ? point.achieved_prune_rate : requested_prune_rate;
+  point.runs = static_cast<int>(values.size());
+  return point;
 }
 
 std::vector<SweepSeries> FoldSweepResults(
     const SweepConfig& config, const std::vector<BatchResult>& results) {
-  BatchSpec spec = ToBatchSpec(config);
   // Results arrive in grid order: sparsifier-major, then rate, then run.
   // Each requested entry's block size comes from ExpandGrid itself (on a
-  // single-name spec), so the fold can never drift from the engine's
+  // single-name config), so the fold can never drift from the engine's
   // expansion; grouping within a block uses the tasks' own prune_rate.
   // One series per requested entry, even when a name is listed twice.
   std::vector<std::string> names =
-      spec.sparsifiers.empty() ? SparsifierNames() : spec.sparsifiers;
+      config.sparsifiers.empty() ? SparsifierNames() : config.sparsifiers;
   std::vector<SweepSeries> all_series;
   size_t i = 0;
   for (const std::string& name : names) {
-    BatchSpec entry_spec = spec;
-    entry_spec.sparsifiers = {name};
-    size_t end = i + BatchRunner::ExpandGrid(entry_spec).size();
+    SweepConfig entry_config = config;
+    entry_config.sparsifiers = {name};
+    size_t end = i + BatchRunner::ExpandGrid(entry_config).size();
     bool fixed_output = CreateSparsifier(name)->Info().prune_rate_control ==
                         PruneRateControl::kNone;
     SweepSeries series;
@@ -56,14 +63,7 @@ std::vector<SweepSeries> FoldSweepResults(
         ++i;
       } while (i < end && results[i].task.run != 0);
       if (values.empty()) continue;
-      SweepPoint point;
-      point.requested_prune_rate = rate;
-      point.mean = Mean(values);
-      point.stddev = StdDev(values);
-      point.achieved_prune_rate = Mean(achieved);
-      point.runs = static_cast<int>(values.size());
-      if (fixed_output) point.requested_prune_rate = point.achieved_prune_rate;
-      series.points.push_back(point);
+      series.points.push_back(FoldPoint(rate, values, achieved, fixed_output));
     }
     all_series.push_back(std::move(series));
   }
@@ -103,10 +103,24 @@ void PrintSeriesTable(std::ostream& os, const std::string& title,
     }
   }
   std::sort(rates.begin(), rates.end());
-  os << std::setw(8) << value_name << " |";
-  for (double r : rates) {
-    os << std::setw(9) << std::fixed << std::setprecision(2) << r;
+  // Column labels take the fewest decimals (2..6) that keep them distinct,
+  // so a fixed-output sparsifier's achieved rate (SP-7's 0.798332) does
+  // not print as a second 0.80 next to the grid's 0.8.
+  std::vector<std::string> labels;
+  for (int decimals = 2; decimals <= 6; ++decimals) {
+    labels.clear();
+    for (double r : rates) {
+      std::ostringstream label;
+      label << std::fixed << std::setprecision(decimals) << r;
+      labels.push_back(label.str());
+    }
+    if (std::set<std::string>(labels.begin(), labels.end()).size() ==
+        labels.size()) {
+      break;
+    }
   }
+  os << std::setw(8) << value_name << " |";
+  for (const std::string& label : labels) os << std::setw(9) << label;
   os << "\n";
   os << std::string(10 + rates.size() * 9, '-') << "\n";
   for (const SweepSeries& s : series) {

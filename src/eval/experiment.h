@@ -5,41 +5,19 @@
 // paper's protocol prescribes (10 graphs per point for non-deterministic
 // sparsifiers; the run count is configurable here because the full paper
 // protocol is laptop-hostile). ResumableSweep (engine/resumable_sweep.h)
-// runs it; this header holds its config, the fold, and the printers.
+// runs it; its config and metric types live with the engine
+// (engine/batch_runner.h), this header holds the fold and the printers.
 #ifndef SPARSIFY_EVAL_EXPERIMENT_H_
 #define SPARSIFY_EVAL_EXPERIMENT_H_
 
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/engine/batch_runner.h"
-#include "src/graph/graph.h"
-#include "src/sparsifiers/sparsifier.h"
-#include "src/util/rng.h"
 
 namespace sparsify {
-
-/// Metric evaluated on (original, sparsified). Each evaluation receives
-/// its own seeded rng stream so sampled metrics are reproducible.
-///
-/// Thread-safety contract (audited in tests/test_multi_metric.cc): the
-/// engine invokes the callable from multiple worker threads at once —
-/// concurrently across cells AND, in a multi-metric sweep, concurrently
-/// with the cell's other metrics on the same shared subgraph. It must not
-/// mutate state shared between invocations without synchronization
-/// (capture by value, use thread_local scratch, or use a BatchRunner(1)).
-/// During an engine-run evaluation
-/// CurrentSubtaskPool() exposes the worker pool, so a metric may fan its
-/// independent per-source work out via NestedParallelFor — such subtasks
-/// must write disjoint slots and fold in a FIXED order (never by thread
-/// count) to keep results bit-identical at any parallelism; see
-/// ApproxBetweennessCentrality's fixed-batch partials for the pattern.
-using MetricFn =
-    std::function<double(const Graph& original, const Graph& sparsified,
-                         Rng& rng)>;
 
 /// One (sparsifier, prune rate) cell of a sweep.
 struct SweepPoint {
@@ -56,20 +34,15 @@ struct SweepSeries {
   std::vector<SweepPoint> points;
 };
 
-/// Sweep configuration.
-struct SweepConfig {
-  std::vector<std::string> sparsifiers;  // short names; empty = all
-  std::vector<double> prune_rates = {0.1, 0.2, 0.3, 0.4, 0.5,
-                                     0.6, 0.7, 0.8, 0.9};
-  int runs_nondeterministic = 5;  // paper uses 10
-  uint64_t seed = 42;
-};
-
-/// Builds the engine grid spec equivalent to `config`. The resumable
-/// sweep (engine/resumable_sweep.h, the one sweep driver) runs and keys
-/// store cells against exactly this grid; worker threads are a property
-/// of its BatchRunner.
-BatchSpec ToBatchSpec(const SweepConfig& config);
+/// Folds one rate's resolved runs into a point: mean and stddev of
+/// `values`, mean of `achieved` (the runs' achieved prune rates), and for
+/// fixed-output sparsifiers (no prune-rate control) the achieved mean in
+/// place of the requested rate. FoldSweepResults and the store export
+/// (cli::RebuildSeries) both fold through it, so a sweep's own series and
+/// `export` of its store cannot drift apart. `values` must be non-empty.
+SweepPoint FoldPoint(double requested_prune_rate,
+                     const std::vector<double>& values,
+                     const std::vector<double>& achieved, bool fixed_output);
 
 /// Folds full-grid engine results (grid order, one entry per ExpandGrid
 /// task) into per-sparsifier series: mean/stddev across the resolved runs

@@ -163,7 +163,7 @@ TEST(DeltaSteppingTest, ScratchReuseAcrossWeightScales) {
 TEST(DeltaSteppingTest, WeightedMetricsBitIdenticalAcrossThreadCounts) {
   Rng rng(41);
   Graph g = WithRandomWeights(BarabasiAlbert(130, 3, rng), 10.0, rng);
-  std::vector<BatchMetric> metrics = {
+  std::vector<SweepMetric> metrics = {
       {"spsp",
        [](const Graph& orig, const Graph& sp, Rng& r) {
          return SpspStretch(orig, sp, 300, r).mean_stretch;
@@ -173,15 +173,15 @@ TEST(DeltaSteppingTest, WeightedMetricsBitIdenticalAcrossThreadCounts) {
          return EccentricityStretch(orig, sp, 15, r).mean_stretch;
        }},
   };
-  BatchSpec spec;
-  spec.sparsifiers = {"RN", "LD"};
-  spec.prune_rates = {0.3, 0.6};
-  spec.runs = 2;
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  SweepConfig config;
+  config.sparsifiers = {"RN", "LD"};
+  config.prune_rates = {0.3, 0.6};
+  config.runs_nondeterministic = 2;
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
   auto run_at = [&](int threads) {
     BatchRunner runner(threads);
     std::vector<BatchMultiResult> results = runner.RunTasksMulti(
-        g, "delta_bitident", tasks, spec.master_seed, metrics);
+        g, "delta_bitident", tasks, config.seed, metrics);
     std::vector<double> values;
     for (const BatchMultiResult& r : results) {
       for (const BatchMetricValue& mv : r.values) values.push_back(mv.value);

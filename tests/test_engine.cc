@@ -79,11 +79,11 @@ TEST(ThreadPoolTest, DefaultSizeIsHardwareConcurrency) {
 // Grid expansion.
 
 TEST(BatchRunnerTest, ExpandGridRespectsDeterminismAndControl) {
-  BatchSpec spec;
-  spec.sparsifiers = {"RN", "LD", "SF"};
-  spec.prune_rates = {0.3, 0.6};
-  spec.runs = 4;
-  auto tasks = BatchRunner::ExpandGrid(spec);
+  SweepConfig config;
+  config.sparsifiers = {"RN", "LD", "SF"};
+  config.prune_rates = {0.3, 0.6};
+  config.runs_nondeterministic = 4;
+  auto tasks = BatchRunner::ExpandGrid(config);
   // RN: 2 rates x 4 runs. LD deterministic: 2 rates x 1 run. SF no
   // prune-rate control and deterministic: 1 x 1.
   ASSERT_EQ(tasks.size(), 8u + 2u + 1u);
@@ -103,14 +103,14 @@ TEST(BatchRunnerTest, ExpandGridRespectsDeterminismAndControl) {
 std::vector<BatchResult> RunGrid(int num_threads, uint64_t seed) {
   Rng gen(71);
   Graph g = BarabasiAlbert(150, 3, gen);
-  BatchSpec spec;
-  spec.sparsifiers = {"RN", "FF", "LD", "SF", "ER-uw"};
-  spec.prune_rates = {0.2, 0.5, 0.8};
-  spec.runs = 3;
-  spec.master_seed = seed;
+  SweepConfig config;
+  config.sparsifiers = {"RN", "FF", "LD", "SF", "ER-uw"};
+  config.prune_rates = {0.2, 0.5, 0.8};
+  config.runs_nondeterministic = 3;
+  config.seed = seed;
   BatchRunner runner(num_threads);
   return RunOneMetric(
-      runner, g, BatchRunner::ExpandGrid(spec), spec.master_seed,
+      runner, g, BatchRunner::ExpandGrid(config), config.seed,
       [](const Graph& orig, const Graph& sp, Rng& rng) {
         // Exercise the metric rng so stream misuse would show up as drift.
         return static_cast<double>(sp.NumEdges()) /
@@ -163,12 +163,13 @@ TEST(BatchRunnerTest, DifferentMasterSeedsDiffer) {
 TEST(BatchRunnerTest, DirectedInputRoutedThroughSymmetrization) {
   Rng gen(72);
   Graph g = RMat(8, 900, 0.57, 0.19, 0.19, true, gen);
-  BatchSpec spec;
-  spec.sparsifiers = {"SF", "ER-uw", "RN"};  // SF/ER undirected-only
-  spec.prune_rates = {0.5};
+  SweepConfig config;
+  config.sparsifiers = {"SF", "ER-uw", "RN"};  // SF/ER undirected-only
+  config.prune_rates = {0.5};
+  config.runs_nondeterministic = 1;
   BatchRunner runner(4);
   auto results = RunOneMetric(
-      runner, g, BatchRunner::ExpandGrid(spec), spec.master_seed,
+      runner, g, BatchRunner::ExpandGrid(config), config.seed,
       [](const Graph& orig, const Graph& sp, Rng&) {
         // Undirected-only cells must see the symmetrized pair.
         EXPECT_EQ(orig.IsDirected(), sp.IsDirected());
@@ -182,12 +183,13 @@ TEST(BatchRunnerTest, DirectedInputRoutedThroughSymmetrization) {
 TEST(BatchRunnerTest, TaskExceptionPropagatesFromRun) {
   Rng gen(73);
   Graph g = RMat(7, 300, 0.57, 0.19, 0.19, true, gen);
-  BatchSpec spec;
-  spec.sparsifiers = {"RN"};
-  spec.prune_rates = {0.5};
+  SweepConfig config;
+  config.sparsifiers = {"RN"};
+  config.prune_rates = {0.5};
+  config.runs_nondeterministic = 1;
   BatchRunner runner(2);
-  EXPECT_THROW(RunOneMetric(runner, g, BatchRunner::ExpandGrid(spec),
-                            spec.master_seed,
+  EXPECT_THROW(RunOneMetric(runner, g, BatchRunner::ExpandGrid(config),
+                            config.seed,
                             [](const Graph&, const Graph&, Rng&) -> double {
                               throw std::runtime_error("metric failed");
                             }),

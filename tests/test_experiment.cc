@@ -3,6 +3,8 @@
 #include "src/eval/experiment.h"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -140,6 +142,46 @@ TEST(SweepTest, TableOutputContainsAllSparsifiers) {
   EXPECT_NE(out.find("RN"), std::string::npos);
   EXPECT_NE(out.find("LD"), std::string::npos);
   EXPECT_NE(out.find("0.42"), std::string::npos);
+}
+
+// The pivot header line's column labels (the tokens after '|').
+std::vector<std::string> TableColumnLabels(const std::string& table) {
+  std::istringstream lines(table);
+  std::string line;
+  while (std::getline(lines, line)) {
+    size_t bar = line.find('|');
+    if (bar == std::string::npos) continue;
+    std::istringstream tokens(line.substr(bar + 1));
+    std::vector<std::string> labels;
+    for (std::string t; tokens >> t;) labels.push_back(t);
+    return labels;
+  }
+  return {};
+}
+
+TEST(SweepTest, TableLabelsDistinguishCloseRates) {
+  // A fixed-output sparsifier's achieved rate next to a grid rate: two
+  // decimals would print both as 0.80.
+  std::vector<SweepSeries> series = {
+      {"RN", {FoldPoint(0.8, {1.0}, {0.8}, false)}},
+      {"SP-7", {FoldPoint(0.0, {2.0}, {0.798332}, true)}},
+  };
+  std::ostringstream os;
+  PrintSeriesTable(os, "close", "val", series);
+  EXPECT_EQ(TableColumnLabels(os.str()),
+            (std::vector<std::string>{"0.798", "0.800"}));
+}
+
+TEST(SweepTest, TableLabelsKeepTwoDecimalsOnPaperGrid) {
+  std::vector<SweepPoint> points;
+  for (double rate : SweepConfig().prune_rates) {
+    points.push_back(FoldPoint(rate, {1.0}, {rate}, false));
+  }
+  std::ostringstream os;
+  PrintSeriesTable(os, "grid", "val", {{"RN", points}});
+  EXPECT_EQ(TableColumnLabels(os.str()),
+            (std::vector<std::string>{"0.10", "0.20", "0.30", "0.40", "0.50",
+                                      "0.60", "0.70", "0.80", "0.90"}));
 }
 
 TEST(SweepTest, MetricReceivesMatchingOriginal) {

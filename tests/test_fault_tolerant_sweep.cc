@@ -4,6 +4,10 @@
 // and the healed sweep is bit-identical to a cold run that never failed.
 // Faults are injected through the failpoint subsystem, so the engine code
 // under test is the shipped code, not a test double.
+#include <algorithm>
+#include <mutex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -243,6 +247,80 @@ TEST_F(FaultTolerantSweepTest, FailedUnitsFoldLikeExport) {
   }
 }
 
+// Every error record of `store` as (canonical key, class, attempts, message),
+// sorted: two stores recorded the same failures iff these are equal.
+std::vector<std::tuple<std::string, std::string, int, std::string>>
+ErrorRecords(const ResultStore& store) {
+  std::vector<std::tuple<std::string, std::string, int, std::string>> out;
+  for (const StoredCell& cell : store.Cells()) {
+    if (!cell.is_error) continue;
+    out.emplace_back(cell.key.Canonical(), cell.error_class, cell.attempts,
+                     cell.error_message);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(FaultTolerantSweepTest, LoneShardWorkerRecordsFailuresLikeUnsharded) {
+  // The sharded path submits through the same routine as the unsharded
+  // one. A lone shard worker (its peer never starts, so it steals the
+  // peer's chunks) must record the same error records, count the same
+  // failed units and export the same series as an unsharded sweep, and
+  // report progress against the full grid.
+  fail::ArmFromSpec("engine.metric_unit/m_bad=throw");
+  SweepConfig config = TestConfig();
+
+  std::string plain_dir = UniqueTestDir("ft_unsharded");
+  ResultStore plain_store(ResultStore::PathInDir(plain_dir));
+  ResumableSweep plain(runner_, &plain_store, "test-rev");
+  plain.set_fault_tolerant(true);
+  ResumableSweepStats plain_stats;
+  plain.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &plain_stats);
+
+  std::string shard_dir = UniqueTestDir("ft_sharded");
+  ResultStore shard_store(ResultStore::PathInDir(shard_dir));
+  ResumableSweep worker(runner_, &shard_store, "test-rev");
+  worker.set_fault_tolerant(true);
+  ShardSpec shard;
+  shard.index = 0;
+  shard.total = 2;
+  shard.steal = true;
+  worker.set_shard(shard);
+  std::mutex mu;
+  size_t progress_calls = 0, max_done = 0;
+  std::set<size_t> denominators;
+  worker.set_progress([&](size_t done, size_t total) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++progress_calls;
+    max_done = std::max(max_done, done);
+    denominators.insert(total);
+  });
+  ResumableSweepStats shard_stats;
+  worker.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &shard_stats);
+
+  const size_t cells = plain_stats.total_cells / 2;  // two metrics
+  EXPECT_EQ(plain_stats.failed_units, cells);
+  EXPECT_EQ(shard_stats.failed_units, plain_stats.failed_units);
+  EXPECT_EQ(shard_stats.transient_failed_units, 0u);
+  EXPECT_EQ(shard_stats.submitted_cells, plain_stats.submitted_cells);
+  EXPECT_EQ(shard_stats.cached_cells, 0u);
+  EXPECT_GT(shard_stats.shard_stolen, 0u);
+  EXPECT_EQ(shard_store.ErrorCount(), cells);
+  EXPECT_EQ(ErrorRecords(shard_store), ErrorRecords(plain_store));
+
+  std::ostringstream plain_export, shard_export;
+  cli::ExportStore(plain_store, plain_export, /*csv=*/true);
+  cli::ExportStore(shard_store, shard_export, /*csv=*/true);
+  EXPECT_FALSE(plain_export.str().empty());
+  EXPECT_EQ(shard_export.str(), plain_export.str());
+
+  // One progress tick per recorded unit, failed ones included, counted
+  // against the full grid.
+  EXPECT_EQ(progress_calls, plain_stats.total_cells);
+  EXPECT_EQ(max_done, plain_stats.total_cells);
+  EXPECT_EQ(denominators, std::set<size_t>{plain_stats.total_cells});
+}
+
 // Safety net for the stage failure path: a score-group or subgraph-build
 // failure fails every dependent unit once, with the stage's class and no
 // retry, while the other sparsifier's units complete; in fail-fast mode
@@ -258,7 +336,7 @@ TEST_P(StageFaultTest, FailsEveryDependentUnitOnceWithItsClass) {
   const std::string want_class = transient ? "transient" : "permanent";
   SweepConfig config = TestConfig();
   size_t rn_cells = 0, ld_cells = 0;
-  for (const BatchTask& task : BatchRunner::ExpandGrid(ToBatchSpec(config))) {
+  for (const BatchTask& task : BatchRunner::ExpandGrid(config)) {
     ++(task.sparsifier == "RN" ? rn_cells : ld_cells);
   }
 

@@ -114,7 +114,7 @@ TEST(MetricSeedTest, DependsOnEveryComponent) {
   EXPECT_NE(BatchRunner::MetricSeed(42, "ab", "c", 0.3, 1, ""),
             BatchRunner::MetricSeed(42, "a", "bc", 0.3, 1, ""));
   EXPECT_NE(BatchRunner::MetricSeed(42, "a\xff", "b", 0.3, 1, ""),
-            BatchRunner::MetricSeed(42, "a", "\xffb", 0.3, 1, ""));
+            BatchRunner::MetricSeed(42, "a", "\xff" "b", 0.3, 1, ""));
 }
 
 // ---------------------------------------------------------------------------
@@ -189,19 +189,19 @@ class MultiMetricEngineTest : public ::testing::Test {
   MultiMetricEngineTest()
       : graph_(LoadDatasetScaled("ego-Facebook", 0.1).graph) {}
 
-  static BatchSpec Spec() {
-    BatchSpec spec;
-    spec.sparsifiers = {"RN", "LD", "SF"};
-    spec.prune_rates = {0.2, 0.5, 0.8};
-    spec.runs = 2;
-    spec.master_seed = 123;
-    return spec;
+  static SweepConfig GridConfig() {
+    SweepConfig config;
+    config.sparsifiers = {"RN", "LD", "SF"};
+    config.prune_rates = {0.2, 0.5, 0.8};
+    config.runs_nondeterministic = 2;
+    config.seed = 123;
+    return config;
   }
 
   // Registry metrics chosen to exercise every sharing axis: a sampled
   // BFS-batch metric (spsp), a Louvain rng consumer (communities), and
   // two deterministic structural metrics (degree, kcore).
-  static std::vector<BatchMetric> Metrics() {
+  static std::vector<SweepMetric> Metrics() {
     return {
         {"degree", cli::FindMetric("degree")},
         {"spsp", cli::FindMetric("spsp")},
@@ -214,16 +214,16 @@ class MultiMetricEngineTest : public ::testing::Test {
 };
 
 TEST_F(MultiMetricEngineTest, MultiRunEqualsUnionOfSingleMetricRuns) {
-  BatchSpec spec = Spec();
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
-  std::vector<BatchMetric> metrics = Metrics();
+  SweepConfig config = GridConfig();
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
+  std::vector<SweepMetric> metrics = Metrics();
   BatchRunner runner(2);
   std::vector<BatchMultiResult> multi = runner.RunTasksMulti(
-      graph_, "fb@0.1", tasks, spec.master_seed, metrics);
+      graph_, "fb@0.1", tasks, config.seed, metrics);
   ASSERT_EQ(multi.size(), tasks.size());
   for (uint32_t m = 0; m < metrics.size(); ++m) {
     std::vector<BatchMultiResult> single = runner.RunTasksMulti(
-        graph_, "fb@0.1", tasks, spec.master_seed, {metrics[m]});
+        graph_, "fb@0.1", tasks, config.seed, {metrics[m]});
     for (size_t i = 0; i < tasks.size(); ++i) {
       ASSERT_EQ(multi[i].values.size(), metrics.size());
       EXPECT_EQ(multi[i].values[m].metric, m);
@@ -236,14 +236,14 @@ TEST_F(MultiMetricEngineTest, MultiRunEqualsUnionOfSingleMetricRuns) {
 }
 
 TEST_F(MultiMetricEngineTest, BitIdenticalAcrossThreadCounts) {
-  BatchSpec spec = Spec();
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
-  std::vector<BatchMetric> metrics = Metrics();
+  SweepConfig config = GridConfig();
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
+  std::vector<SweepMetric> metrics = Metrics();
   std::vector<std::vector<BatchMultiResult>> runs;
   for (int threads : {1, 2, 8}) {
     BatchRunner runner(threads);
     runs.push_back(runner.RunTasksMulti(graph_, "fb@0.1", tasks,
-                                        spec.master_seed, metrics));
+                                        config.seed, metrics));
   }
   for (size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[0].size(), runs[r].size());
@@ -258,12 +258,12 @@ TEST_F(MultiMetricEngineTest, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(MultiMetricEngineTest, PerTaskMetricSubsetsAreHonored) {
-  BatchSpec spec = Spec();
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
-  std::vector<BatchMetric> metrics = Metrics();
+  SweepConfig config = GridConfig();
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
+  std::vector<SweepMetric> metrics = Metrics();
   BatchRunner runner(2);
   std::vector<BatchMultiResult> full = runner.RunTasksMulti(
-      graph_, "fb@0.1", tasks, spec.master_seed, metrics);
+      graph_, "fb@0.1", tasks, config.seed, metrics);
 
   // Odd cells evaluate only metric 1, even cells metrics {0, 3} — the
   // shapes the resume scheduler produces. Values must match the full run.
@@ -276,7 +276,7 @@ TEST_F(MultiMetricEngineTest, PerTaskMetricSubsetsAreHonored) {
   }
   BatchRunStats stats;
   std::vector<BatchMultiResult> partial = runner.RunTasksMulti(
-      graph_, "fb@0.1", subset, spec.master_seed, metrics, nullptr, &stats);
+      graph_, "fb@0.1", subset, config.seed, metrics, nullptr, &stats);
   EXPECT_EQ(stats.cells, tasks.size());
   EXPECT_EQ(stats.metric_units, expected_units);
   EXPECT_EQ(stats.subgraph_builds, tasks.size());
@@ -291,14 +291,14 @@ TEST_F(MultiMetricEngineTest, PerTaskMetricSubsetsAreHonored) {
 }
 
 TEST_F(MultiMetricEngineTest, StatsCountBothSharingAxes) {
-  BatchSpec spec = Spec();
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  SweepConfig config = GridConfig();
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
   // RN: 3 rates x 2 runs; LD: 3 x 1; SF: 1 x 1 (no rate control).
   ASSERT_EQ(tasks.size(), 6u + 3u + 1u);
-  std::vector<BatchMetric> metrics = Metrics();
+  std::vector<SweepMetric> metrics = Metrics();
   BatchRunner runner(2);
   BatchRunStats stats;
-  runner.RunTasksMulti(graph_, "fb@0.1", tasks, spec.master_seed, metrics,
+  runner.RunTasksMulti(graph_, "fb@0.1", tasks, config.seed, metrics,
                        nullptr, &stats);
   EXPECT_EQ(stats.cells, 10u);
   EXPECT_EQ(stats.metric_units, 40u);
@@ -307,15 +307,15 @@ TEST_F(MultiMetricEngineTest, StatsCountBothSharingAxes) {
 }
 
 TEST_F(MultiMetricEngineTest, InvalidMetricConfigurationsThrow) {
-  BatchSpec spec = Spec();
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  SweepConfig config = GridConfig();
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
   BatchRunner runner(2);
   EXPECT_THROW(
-      runner.RunTasksMulti(graph_, "fb@0.1", tasks, spec.master_seed, {}),
+      runner.RunTasksMulti(graph_, "fb@0.1", tasks, config.seed, {}),
       std::invalid_argument);
   std::vector<BatchTask> bad = tasks;
   bad[0].metrics = {7};  // out of range for a 1-metric list
-  EXPECT_THROW(runner.RunTasksMulti(graph_, "fb@0.1", bad, spec.master_seed,
+  EXPECT_THROW(runner.RunTasksMulti(graph_, "fb@0.1", bad, config.seed,
                                     {{"degree", cli::FindMetric("degree")}}),
                std::invalid_argument);
 }
@@ -326,13 +326,13 @@ TEST_F(MultiMetricEngineTest, MetricThreadSafetyAuditRegression) {
   // concurrently both ACROSS cells and WITHIN a cell's metric fan-out.
   // Any shared mutable state shows up as cross-thread drift: an 8-thread
   // run must reproduce the single-thread run bit for bit.
-  BatchSpec spec;
-  spec.sparsifiers = {"RN", "LD"};
-  spec.prune_rates = {0.3, 0.6};
-  spec.runs = 2;
-  spec.master_seed = 7;
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
-  std::vector<BatchMetric> metrics = {
+  SweepConfig config;
+  config.sparsifiers = {"RN", "LD"};
+  config.prune_rates = {0.3, 0.6};
+  config.runs_nondeterministic = 2;
+  config.seed = 7;
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
+  std::vector<SweepMetric> metrics = {
       {"communities", cli::FindMetric("communities")},
       {"maxflow", cli::FindMetric("maxflow")},
       {"betweenness", cli::FindMetric("betweenness")},
@@ -341,9 +341,9 @@ TEST_F(MultiMetricEngineTest, MetricThreadSafetyAuditRegression) {
   BatchRunner one(1);
   BatchRunner eight(8);
   std::vector<BatchMultiResult> serial = one.RunTasksMulti(
-      graph_, "fb@0.1", tasks, spec.master_seed, metrics);
+      graph_, "fb@0.1", tasks, config.seed, metrics);
   std::vector<BatchMultiResult> parallel = eight.RunTasksMulti(
-      graph_, "fb@0.1", tasks, spec.master_seed, metrics);
+      graph_, "fb@0.1", tasks, config.seed, metrics);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     for (size_t s = 0; s < serial[i].values.size(); ++s) {
@@ -419,7 +419,7 @@ TEST_F(MultiMetricSweepTest, ResumingWithMoreMetricsSubmitsOnlyNewUnits) {
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = Config();
   std::vector<SweepMetric> metrics = TwoMetrics();
-  size_t cells = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
+  size_t cells = BatchRunner::ExpandGrid(config).size();
 
   // First sweep: metric "degree" alone, through the single-metric API.
   ResumableSweep sweep(runner_, &store, "test-rev");

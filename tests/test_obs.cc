@@ -270,7 +270,7 @@ TEST(ObsCounters, EngineCounterTotalsAreThreadCountIndependent) {
   for (const auto& [name, value] : at1) {
     if (name == "engine.metric_units") units = value;
   }
-  EXPECT_EQ(units, BatchRunner::ExpandGrid(ToBatchSpec(config)).size());
+  EXPECT_EQ(units, BatchRunner::ExpandGrid(config).size());
 }
 
 // ---------------------------------------------------------------------

@@ -77,15 +77,15 @@ class ResumableSweepTest : public ::testing::Test {
 TEST_F(ResumableSweepTest, SubsetRunMatchesFullGridSeeds) {
   // Engine-level guarantee the resume path relies on: running a subset of
   // the grid (odd positions) computes the same values as the full run.
-  BatchSpec spec = ToBatchSpec(TestConfig());
+  SweepConfig config = TestConfig();
   MetricFn metric = SampledMetric();
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
   std::vector<BatchResult> full =
-      RunOneMetric(runner_, graph_, tasks, spec.master_seed, metric);
+      RunOneMetric(runner_, graph_, tasks, config.seed, metric);
   std::vector<BatchTask> odd;
   for (size_t i = 1; i < tasks.size(); i += 2) odd.push_back(tasks[i]);
   std::vector<BatchResult> subset =
-      RunOneMetric(runner_, graph_, odd, spec.master_seed, metric);
+      RunOneMetric(runner_, graph_, odd, config.seed, metric);
   ASSERT_EQ(subset.size(), odd.size());
   for (size_t j = 0; j < subset.size(); ++j) {
     // Subset entry j is grid position 2j + 1.
@@ -106,7 +106,7 @@ TEST_F(ResumableSweepTest, WarmStoreSubmitsZeroCells) {
   ResumableSweepStats first_stats;
   auto first = sweep.Run(graph_, "fb@0.1", "quad5", config, metric,
                          &first_stats);
-  size_t total = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
+  size_t total = BatchRunner::ExpandGrid(config).size();
   EXPECT_EQ(first_stats.total_cells, total);
   EXPECT_EQ(first_stats.cached_cells, 0u);
   EXPECT_EQ(first_stats.submitted_cells, total);
@@ -169,7 +169,7 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
   // cells, and reassemble the cold-run series bit-identically.
   ResultStore store_b(path_b);
   EXPECT_EQ(store_b.Size(), keep_records);
-  size_t total = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
+  size_t total = BatchRunner::ExpandGrid(config).size();
   ResumableSweep sweep(runner_, &store_b, "test-rev");
   ResumableSweepStats stats;
   std::vector<SweepSeries> resumed =
@@ -246,7 +246,7 @@ TEST_F(ResumableSweepTest, WriteOnlyModeRecomputesButPersists) {
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = TestConfig();
   MetricFn metric = SampledMetric();
-  size_t total = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
+  size_t total = BatchRunner::ExpandGrid(config).size();
 
   ResumableSweep sweep(runner_, &store, "test-rev");
   sweep.set_reuse_cached(false);

@@ -338,7 +338,7 @@ TEST(TraversalKernelTest, EccentricityMatchesVectorFold) {
 TEST(TraversalKernelTest, DistanceMetricsBitIdenticalAcrossThreadCounts) {
   Rng rng(5);
   Graph g = BarabasiAlbert(150, 3, rng);
-  std::vector<BatchMetric> metrics = {
+  std::vector<SweepMetric> metrics = {
       {"spsp",
        [](const Graph& orig, const Graph& sp, Rng& r) {
          return SpspStretch(orig, sp, 400, r).mean_stretch;
@@ -352,15 +352,15 @@ TEST(TraversalKernelTest, DistanceMetricsBitIdenticalAcrossThreadCounts) {
          return ApproxDiameter(sp, 4, r);
        }},
   };
-  BatchSpec spec;
-  spec.sparsifiers = {"RN", "LD"};
-  spec.prune_rates = {0.3, 0.6};
-  spec.runs = 2;
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  SweepConfig config;
+  config.sparsifiers = {"RN", "LD"};
+  config.prune_rates = {0.3, 0.6};
+  config.runs_nondeterministic = 2;
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
   auto run_at = [&](int threads) {
     BatchRunner runner(threads);
     std::vector<BatchMultiResult> results =
-        runner.RunTasksMulti(g, "bitident", tasks, spec.master_seed, metrics);
+        runner.RunTasksMulti(g, "bitident", tasks, config.seed, metrics);
     std::vector<double> values;
     for (const BatchMultiResult& r : results) {
       for (const BatchMetricValue& mv : r.values) values.push_back(mv.value);

@@ -188,14 +188,14 @@ double KeptFractionWithDraw(const Graph& orig, const Graph& sp, Rng& rng) {
 std::vector<BatchResult> RunGroupedGrid(int num_threads) {
   Rng gen(88);
   Graph g = BarabasiAlbert(120, 3, gen);
-  BatchSpec spec;
-  spec.sparsifiers = {"RN", "LD", "KN", "SCAN", "FF", "SF", "ER-uw"};
-  spec.prune_rates = SweepRates();
-  spec.runs = 2;
-  spec.master_seed = 31;
+  SweepConfig config;
+  config.sparsifiers = {"RN", "LD", "KN", "SCAN", "FF", "SF", "ER-uw"};
+  config.prune_rates = SweepRates();
+  config.runs_nondeterministic = 2;
+  config.seed = 31;
   BatchRunner runner(num_threads);
-  return RunOneMetric(runner, g, BatchRunner::ExpandGrid(spec),
-                      spec.master_seed, KeptFractionWithDraw);
+  return RunOneMetric(runner, g, BatchRunner::ExpandGrid(config),
+                      config.seed, KeptFractionWithDraw);
 }
 
 void ExpectIdentical(const std::vector<BatchResult>& a,
@@ -227,13 +227,15 @@ TEST(GroupedSchedulerTest, DeterministicSparsifiersUnchangedBySharing) {
   // MetricSeed alone.
   Rng gen(89);
   Graph g = BarabasiAlbert(120, 3, gen);
-  BatchSpec spec;
-  spec.sparsifiers = {"LD", "SCAN", "GS", "LSim", "LS", "SF", "SP-3", "TRI"};
-  spec.prune_rates = SweepRates();
-  spec.master_seed = 77;
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  SweepConfig config;
+  config.sparsifiers = {"LD", "SCAN", "GS", "LSim",
+                        "LS", "SF", "SP-3", "TRI"};
+  config.prune_rates = SweepRates();
+  config.runs_nondeterministic = 1;
+  config.seed = 77;
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
   BatchRunner runner(2);
-  auto shared = RunOneMetric(runner, g, tasks, spec.master_seed,
+  auto shared = RunOneMetric(runner, g, tasks, config.seed,
                              KeptFractionWithDraw);
   std::vector<BatchResult> per_cell(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
@@ -241,7 +243,7 @@ TEST(GroupedSchedulerTest, DeterministicSparsifiersUnchangedBySharing) {
     Rng sparsify_rng(1000 + i);
     Graph sparsified = CreateSparsifier(task.sparsifier)
                            ->Sparsify(g, task.prune_rate, sparsify_rng);
-    Rng metric_rng(BatchRunner::MetricSeed(spec.master_seed, "test",
+    Rng metric_rng(BatchRunner::MetricSeed(config.seed, "test",
                                            task.sparsifier, task.prune_rate,
                                            task.run, "metric"));
     per_cell[i].task = task;
@@ -258,18 +260,18 @@ TEST(GroupedSchedulerTest, SubsetRunMatchesFullGrid) {
   // scoring seeds depend only on (master_seed, sparsifier, run).
   Rng gen(90);
   Graph g = BarabasiAlbert(100, 3, gen);
-  BatchSpec spec;
-  spec.sparsifiers = {"RN", "ER-uw", "LD", "FF"};
-  spec.prune_rates = SweepRates();
-  spec.runs = 2;
-  spec.master_seed = 5;
+  SweepConfig config;
+  config.sparsifiers = {"RN", "ER-uw", "LD", "FF"};
+  config.prune_rates = SweepRates();
+  config.runs_nondeterministic = 2;
+  config.seed = 5;
   BatchRunner runner(2);
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
-  auto full = RunOneMetric(runner, g, tasks, spec.master_seed,
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
+  auto full = RunOneMetric(runner, g, tasks, config.seed,
                            KeptFractionWithDraw);
   std::vector<BatchTask> subset;
   for (size_t i = 0; i < tasks.size(); i += 3) subset.push_back(tasks[i]);
-  auto partial = RunOneMetric(runner, g, subset, spec.master_seed,
+  auto partial = RunOneMetric(runner, g, subset, config.seed,
                               KeptFractionWithDraw);
   ASSERT_EQ(partial.size(), subset.size());
   for (size_t j = 0; j < partial.size(); ++j) {
@@ -283,19 +285,19 @@ TEST(GroupedSchedulerTest, SubsetRunMatchesFullGrid) {
 TEST(GroupedSchedulerTest, SharingSchedulesOneScorePassPerGroup) {
   Rng gen(91);
   Graph g = BarabasiAlbert(80, 3, gen);
-  BatchSpec spec;
-  spec.sparsifiers = {"LD", "RN"};
-  spec.prune_rates = SweepRates();
-  spec.runs = 2;
+  SweepConfig config;
+  config.sparsifiers = {"LD", "RN"};
+  config.prune_rates = SweepRates();
+  config.runs_nondeterministic = 2;
   BatchRunner runner(2);
   auto metric = [](const Graph&, const Graph& sp, Rng&) {
     return static_cast<double>(sp.NumEdges());
   };
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(config);
   // LD deterministic: 9 rates x 1 run; RN: 9 rates x 2 runs.
   ASSERT_EQ(tasks.size(), 9u + 18u);
   BatchRunStats stats;
-  RunOneMetric(runner, g, tasks, spec.master_seed, metric, &stats);
+  RunOneMetric(runner, g, tasks, config.seed, metric, &stats);
   EXPECT_EQ(stats.cells, 27u);
   EXPECT_EQ(stats.score_groups, 3u);  // (LD,0), (RN,0), (RN,1)
 }

@@ -67,10 +67,10 @@ inline uintmax_t LogBytes(const std::string& dir) {
 inline std::vector<BatchResult> RunOneMetric(
     const BatchRunner& runner, const Graph& g,
     const std::vector<BatchTask>& tasks, uint64_t master_seed,
-    const BatchMetricFn& fn, BatchRunStats* stats = nullptr) {
+    const MetricFn& fn, BatchRunStats* stats = nullptr) {
   std::vector<BatchMultiResult> multi =
       runner.RunTasksMulti(g, "test", tasks, master_seed,
-                           {BatchMetric{"metric", fn}}, nullptr, stats);
+                           {SweepMetric{"metric", fn}}, nullptr, stats);
   std::vector<BatchResult> out(multi.size());
   for (size_t i = 0; i < multi.size(); ++i) {
     out[i].task = multi[i].task;
