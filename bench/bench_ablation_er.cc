@@ -69,8 +69,9 @@ void Run(double scale) {
 }  // namespace sparsify
 
 int main(int argc, char** argv) {
-  // Only --scale applies here; the shared parser still rejects unknown
-  // flags and malformed numbers (exit 2).
-  sparsify::Run(sparsify::bench::ParseOptions(argc, argv, 0.4).scale);
+  // Only --scale applies here; any other flag, a malformed number or a
+  // scale <= 0 exits 2.
+  sparsify::Run(
+      sparsify::bench::ParseOptions(argc, argv, {"--scale"}, 0.4).scale);
   return 0;
 }

@@ -3,23 +3,27 @@
 // traversal kernel), the ablations and bench_tables (which read only
 // --scale). Registry figures run as `sparsify_cli figure <id ...>`.
 //
-// ParseOptions accepts:
-//   --scale=<f>   dataset size multiplier (default per bench; smaller =
-//                 faster); datasets are synthetic stand-ins, see
-//                 src/graph/datasets.h
+// ParseOptions knows these flags; each bench names the ones it honours:
+//   --scale=<f>   dataset size multiplier, finite and > 0 (default per
+//                 bench; smaller = faster); datasets are synthetic
+//                 stand-ins, see src/graph/datasets.h
 //   --runs=<n>    runs per non-deterministic sparsifier (paper: 10)
 //   --threads=<n> worker threads for the batch engine (default: hardware
 //                 concurrency; output is identical at any thread count)
 //   --seed=<n>    master seed of the sweep grid (default 42)
 //   --csv         emit CSV rows instead of pivot tables
 //
-// Unknown --flags are an error, not a silent no-op: a typo like
-// `--thread=8` must abort instead of quietly running a default config.
+// Unknown --flags, and known ones the bench does not honour, are an error
+// (exit 2), not a silent no-op: a typo like `--thread=8`, or `--runs=5` on
+// a bench with a fixed protocol, must abort instead of quietly running a
+// default config.
 #ifndef SPARSIFY_BENCH_BENCH_COMMON_H_
 #define SPARSIFY_BENCH_BENCH_COMMON_H_
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,9 +95,20 @@ struct BenchOptions {
   bool csv = false;
 };
 
-inline void PrintBenchUsage(std::ostream& os) {
-  os << "usage: bench [--scale=f] [--runs=n] [--threads=n] [--seed=n] "
-        "[--csv]\n";
+/// Every flag ParseOptions knows, for benches that honour them all.
+inline const std::set<std::string> kAllBenchFlags = {
+    "--scale", "--runs", "--threads", "--seed", "--csv"};
+
+inline void PrintBenchUsage(std::ostream& os,
+                            const std::set<std::string>& honoured) {
+  os << "usage: bench";
+  for (const char* flag :
+       {"--scale=f", "--runs=n", "--threads=n", "--seed=n", "--csv"}) {
+    std::string name(flag);
+    name = name.substr(0, name.find('='));
+    if (honoured.count(name) > 0) os << " [" << flag << "]";
+  }
+  os << "\n";
 }
 
 /// Strict numeric flag values: `--runs=3x` or `--scale=abc` must abort,
@@ -142,7 +157,10 @@ inline std::vector<std::string> SplitCsvFlag(const std::string& s) {
   return parts;
 }
 
+/// Parses argv into BenchOptions. `honoured` names the flags (of
+/// kAllBenchFlags) the calling bench reads; any other flag exits 2.
 inline BenchOptions ParseOptions(int argc, char** argv,
+                                 const std::set<std::string>& honoured,
                                  double default_scale = 0.5,
                                  int default_runs = 3) {
   BenchOptions opt;
@@ -150,24 +168,40 @@ inline BenchOptions ParseOptions(int argc, char** argv,
   opt.runs = default_runs;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = ParseDoubleFlag(arg.c_str() + 8, "--scale");
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      opt.runs = static_cast<int>(ParseIntFlag(arg.c_str() + 7, "--runs"));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      opt.threads =
-          static_cast<int>(ParseIntFlag(arg.c_str() + 10, "--threads"));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = ParseUint64Flag(arg.c_str() + 7, "--seed");
-    } else if (arg == "--csv") {
-      opt.csv = true;
-    } else if (arg == "--help") {
-      PrintBenchUsage(std::cout);
+    if (arg == "--help") {
+      PrintBenchUsage(std::cout, honoured);
       std::exit(0);
-    } else {
+    }
+    const std::string name = arg.substr(0, arg.find('='));
+    const std::string value =
+        name.size() < arg.size() ? arg.substr(name.size() + 1) : "";
+    const bool known = kAllBenchFlags.count(name) > 0 &&
+                       (name == "--csv") == (name.size() == arg.size());
+    if (!known) {
       std::cerr << "error: unknown option '" << arg << "'\n";
-      PrintBenchUsage(std::cerr);
+      PrintBenchUsage(std::cerr, honoured);
       std::exit(2);
+    }
+    if (honoured.count(name) == 0) {
+      std::cerr << "error: " << name << " is not used by this bench\n";
+      PrintBenchUsage(std::cerr, honoured);
+      std::exit(2);
+    }
+    if (name == "--scale") {
+      opt.scale = ParseDoubleFlag(value.c_str(), "--scale");
+      if (!std::isfinite(opt.scale) || opt.scale <= 0.0) {
+        std::cerr << "error: --scale must be > 0\n";
+        std::exit(2);
+      }
+    } else if (name == "--runs") {
+      opt.runs = static_cast<int>(ParseIntFlag(value.c_str(), "--runs"));
+    } else if (name == "--threads") {
+      opt.threads =
+          static_cast<int>(ParseIntFlag(value.c_str(), "--threads"));
+    } else if (name == "--seed") {
+      opt.seed = ParseUint64Flag(value.c_str(), "--seed");
+    } else {
+      opt.csv = true;
     }
   }
   return opt;

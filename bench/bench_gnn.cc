@@ -49,7 +49,8 @@ double TrainClusterGcnAndScore(const Graph& train_graph,
 }
 
 void Run(int argc, char** argv) {
-  bench::BenchOptions opt = bench::ParseOptions(argc, argv, 0.35, 2);
+  bench::BenchOptions opt =
+      bench::ParseOptions(argc, argv, bench::kAllBenchFlags, 0.35, 2);
 
   {
     Dataset d = LoadDatasetScaled("ogbn-proteins", opt.scale);

@@ -99,9 +99,10 @@ void PrintTable3(double scale) {
 }  // namespace sparsify
 
 int main(int argc, char** argv) {
-  // Only --scale applies (Table 3's dataset sizes); the shared parser
-  // still rejects unknown flags and malformed numbers (exit 2).
-  double scale = sparsify::bench::ParseOptions(argc, argv, 0.5).scale;
+  // Only --scale applies (Table 3's dataset sizes); any other flag, a
+  // malformed number or a scale <= 0 exits 2.
+  double scale =
+      sparsify::bench::ParseOptions(argc, argv, {"--scale"}, 0.5).scale;
   sparsify::PrintTable1();
   sparsify::PrintTable2();
   sparsify::PrintTable3(scale);

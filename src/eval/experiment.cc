@@ -87,6 +87,17 @@ void PrintSeriesTable(std::ostream& os, const std::string& title,
                       const std::string& value_name,
                       const std::vector<SweepSeries>& series,
                       std::optional<double> reference) {
+  // The cells print in std::fixed; hand the caller's stream back with its
+  // own format, so a second table's reference line reads like the first.
+  struct FormatGuard {
+    std::ostream& os;
+    std::ios_base::fmtflags flags = os.flags();
+    std::streamsize precision = os.precision();
+    ~FormatGuard() {
+      os.flags(flags);
+      os.precision(precision);
+    }
+  } guard{os};
   os << "== " << title << " ==\n";
   if (reference.has_value()) {
     os << "(reference on full graph: " << *reference << ")\n";

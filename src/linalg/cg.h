@@ -28,6 +28,20 @@ struct CgResult {
 CgResult SolveLaplacian(const Graph& g, const Vec& b, Vec* x,
                         double tol = 1e-8, int max_iters = 2000);
 
+/// Solves L X = B for `width` right-hand sides at once. `b` and `x` are
+/// n x width row-major (column c of vertex v at v * width + c); `x` is the
+/// initial guess and the output, as in SolveLaplacian. Each iteration reads
+/// the edge list once for the whole block; finished columns are carried
+/// along but no longer updated. Every column keeps
+/// its own step sizes, convergence test, kernel break and deflation, and
+/// each per-column sum runs in SolveLaplacian's order, so column c of the
+/// result is bit-identical to SolveLaplacian on column c alone. Returns one
+/// CgResult per column.
+std::vector<CgResult> SolveLaplacianBlock(const Graph& g, const Vec& b,
+                                          Vec* x, size_t width,
+                                          double tol = 1e-8,
+                                          int max_iters = 2000);
+
 }  // namespace sparsify
 
 #endif  // SPARSIFY_LINALG_CG_H_

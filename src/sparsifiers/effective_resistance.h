@@ -15,18 +15,31 @@
 // Laplacians.jl's approxchol solver; bench_ablation_er measures this
 // solver's JL dimension / CG tolerance trade-off).
 //
-// Two-phase split: PrepareScores pays for the k Laplacian solves AND runs
-// the with-replacement sampling race once to exhaustion, recording the
-// order in which distinct edges are first hit plus the draw count at every
-// prefix length. MaskForRate(rho) then keeps the first TargetKeepCount
-// edges of the hit order — exactly the set a run stopped at that target
-// would have kept, since the draw sequence is target-independent — and the
-// weighted variant assigns Horvitz-Thompson weights w_e / pi_e with
-// pi_e = 1 - (1 - p_e)^s, the probability of edge e being hit within the
-// s draws the prefix took (an unbiased Laplacian estimator over the
-// sampling marginal).
+// Sampling: edges are drawn with replacement, p_e ~ w_e R_e, and the
+// first T distinct edges hit are kept. Each draw inverts the CDF through
+// an index ("guide") table over it (Chen & Asau 1974; Devroye,
+// Non-Uniform Random Variate Generation, section III.2.4) with an exact
+// fix-up, so it returns the same edge as a binary search over the CDF in
+// O(1) expected time.
+//
+// Two-phase split: PrepareScores pays for the k Laplacian solves (one
+// blocked CG, SolveLaplacianBlock) and builds p, the CDF and the guide
+// table; the caller's Rng advances only through the JL sign draws. The
+// race itself runs lazily: the state keeps its own copy of the Rng, and
+// MaskForRate(rho) extends the race under the state's lock until
+// TargetKeepCount distinct edges are hit, recording the first-hit order
+// and the draw count at every prefix length. The draw stream does not
+// depend on any prune rate, so the first T entries of the order are the
+// set a race stopped at target T keeps, whichever rate asked first. The
+// race stops at 400 |E| + 10^6 draws; edges never hit by then are
+// appended by descending p. The weighted variant assigns Horvitz-Thompson
+// weights w_e / pi_e with pi_e = 1 - (1 - p_e)^s, the probability of edge
+// e being hit within the s draws the prefix took (an unbiased Laplacian
+// estimator over the sampling marginal).
 #ifndef SPARSIFY_SPARSIFIERS_EFFECTIVE_RESISTANCE_H_
 #define SPARSIFY_SPARSIFIERS_EFFECTIVE_RESISTANCE_H_
+
+#include <mutex>
 
 #include "src/sparsifiers/sparsifier.h"
 
@@ -39,31 +52,50 @@ std::vector<double> ApproxEffectiveResistances(const Graph& g, Rng& rng,
                                                int jl_dimension = 0,
                                                double tol = 1e-6);
 
-/// ScoreState of the ER family: the exhausted sampling race.
+/// ScoreState of the ER family: the sampling distribution and the race
+/// prefix drawn so far. The race extends on demand and only under the
+/// state's lock, so concurrent MaskForRate calls on one state are safe and
+/// see the same prefix whatever their order.
 class ErSampleState : public ScoreState {
  public:
-  ErSampleState(const Graph* g, std::vector<EdgeId> hit_order,
-                std::vector<uint64_t> draws_at, std::vector<double> p)
-      : graph_(g),
-        hit_order_(std::move(hit_order)),
-        draws_at_(std::move(draws_at)),
-        p_(std::move(p)) {}
+  /// `race_rng` is the stream the race draws from, positioned after the
+  /// JL draws; `p` holds positive entries summing to ~1 (empty for an
+  /// edgeless graph).
+  ErSampleState(const Graph* g, std::vector<double> p, Rng race_rng);
 
   const Graph& graph() const { return *graph_; }
-  /// All |E| edge ids, ordered by first hit in the sampling race (edges
-  /// never hit before the draw cap are appended by descending p).
-  const std::vector<EdgeId>& hit_order() const { return hit_order_; }
-  /// draws_at()[t] = total with-replacement draws made when the (t+1)-th
-  /// distinct edge was hit.
-  const std::vector<uint64_t>& draws_at() const { return draws_at_; }
   /// Normalized sampling probabilities p_e ~ w_e R_e.
   const std::vector<double>& p() const { return p_; }
 
+  /// Extends the race until at least `target` distinct edges are hit (or
+  /// every edge, past the draw cap), then calls
+  /// fn(hit_order, draws_at) under the state's lock. hit_order lists the
+  /// edge ids hit so far in first-hit order; draws_at[t] is the total
+  /// number of draws made when the (t+1)-th distinct edge was hit. A
+  /// cancellation thrown mid-extension leaves every committed draw in
+  /// place, so a later call resumes the same stream.
+  template <typename Fn>
+  void WithPrefix(EdgeId target, Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    ExtendRace(target);
+    fn(hit_order_, draws_at_);
+  }
+
  private:
+  void ExtendRace(EdgeId target) const;  // requires mu_
+
   const Graph* graph_;
-  std::vector<EdgeId> hit_order_;
-  std::vector<uint64_t> draws_at_;
   std::vector<double> p_;
+  std::vector<double> cum_;    // running sums of p_ (unnormalized CDF)
+  std::vector<EdgeId> guide_;  // guide_[j]: first e with cum_[e] >= j/G
+  double step_ = 0.0;          // |guide_| / cum_.back()
+
+  mutable std::mutex mu_;
+  mutable Rng rng_;
+  mutable std::vector<uint8_t> hit_;
+  mutable std::vector<EdgeId> hit_order_;
+  mutable std::vector<uint64_t> draws_at_;
+  mutable uint64_t draws_ = 0;
 };
 
 class EffectiveResistanceSparsifier : public Sparsifier {
@@ -78,6 +110,8 @@ class EffectiveResistanceSparsifier : public Sparsifier {
   /// as the paper does in section 4.5).
   std::unique_ptr<ScoreState> PrepareScores(const Graph& g,
                                             Rng& rng) const override;
+  /// Extends the state's race as far as this rate needs (see
+  /// ErSampleState::WithPrefix); safe to call concurrently on one state.
   RateMask MaskForRate(const ScoreState& state,
                        double prune_rate) const override;
   /// Keeps the legacy keep-everything fast path: when the target keeps

@@ -8,7 +8,8 @@
 //
 //   PrepareScores(g, rng) -> ScoreState   the expensive part: degree
 //       rankings, similarity scores, effective resistances, spanner /
-//       forest structure. The ONLY phase that may consume the Rng.
+//       forest structure. The ONLY phase that may consume the caller's
+//       Rng.
 //   MaskForRate(state, rho) -> RateMask   cheap thresholding of the state
 //       at one prune rate. Deterministic, const, and re-entrant: the sweep
 //       engine calls it concurrently for many rates on one shared state.
@@ -132,7 +133,11 @@ class Sparsifier {
 
   /// Phase 2: thresholds `state` at one prune rate. Deterministic, cheap,
   /// and re-entrant — the engine invokes it concurrently for many rates on
-  /// one shared state, so implementations must not mutate the state.
+  /// one shared state, so implementations must not change what the state
+  /// answers. A state may still fill in a rate-independent part lazily
+  /// under its own lock (ER extends its sampling race from a stream the
+  /// state owns), provided every call returns the same mask whatever the
+  /// order of calls.
   /// `prune_rate` is the requested fraction of edges to REMOVE
   /// (Definition 1) and must be in [0, 1) unless Info() says kNone;
   /// algorithms with coarse control get as close as their knob allows.

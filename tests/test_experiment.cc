@@ -184,6 +184,27 @@ TEST(SweepTest, TableLabelsKeepTwoDecimalsOnPaperGrid) {
                                       "0.60", "0.70", "0.80", "0.90"}));
 }
 
+// Two tables on one stream, as `sparsify_cli figure 1a 1b` prints them:
+// the second reference line must not inherit the first table's fixed
+// three-decimal cell format.
+TEST(SweepTest, TableLeavesTheCallerStreamFormatUnchanged) {
+  std::vector<SweepSeries> series = {
+      {"RN", {FoldPoint(0.5, {1.25}, {0.5}, false)}}};
+  std::ostringstream os;
+  const std::ios_base::fmtflags flags = os.flags();
+  const std::streamsize precision = os.precision();
+  PrintSeriesTable(os, "first", "val", series, 0.0);
+  PrintSeriesTable(os, "second", "val", series, 0.0);
+  const std::string out = os.str();
+  const std::string line = "(reference on full graph: 0)\n";
+  size_t first = out.find(line);
+  ASSERT_NE(first, std::string::npos) << out;
+  EXPECT_NE(out.find(line, first + 1), std::string::npos) << out;
+  EXPECT_EQ(out.find("0.000)"), std::string::npos) << out;
+  EXPECT_EQ(os.flags(), flags);
+  EXPECT_EQ(os.precision(), precision);
+}
+
 TEST(SweepTest, MetricReceivesMatchingOriginal) {
   // The metric must be called with the same graph the sparsifier consumed:
   // for an undirected-only sparsifier on a directed input, both are the
