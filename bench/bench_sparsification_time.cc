@@ -7,7 +7,10 @@
 // band; ER is roughly an order of magnitude above everything else because
 // of its Laplacian solves. As in the paper, the ER timing here isolates the
 // *sampling* cost; the one-time effective-resistance computation is
-// reported separately below.
+// reported separately below. ER's Sparsify extends its sampling race only
+// until the rate's target is reached, so its time falls as the prune rate
+// rises. One Rng serves every iteration of a benchmark, so each iteration
+// draws from a different stream position.
 #include <benchmark/benchmark.h>
 
 #include "src/graph/datasets.h"

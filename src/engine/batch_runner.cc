@@ -471,10 +471,12 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
   // streams derive from (master_seed, sparsifier, run) — deterministic
   // sparsifiers ignore them entirely, keeping their cells bit-identical
   // to a standalone Sparsify — and each (cell, metric) unit's stream
-  // derives from MetricSeed. MaskForRate is const and re-entrant, so one
-  // group's cells can threshold the shared state concurrently; the
-  // subgraph is immutable once built, so one cell's metrics can read it
-  // concurrently.
+  // derives from MetricSeed. MaskForRate is const and safe to call
+  // concurrently, so one group's cells can threshold the shared state at
+  // once; an ER state extends its sampling race under its own lock, so
+  // an ER group's cells may serialise on it (a worker blocked there
+  // still counts as busy in the pool's utilisation). The subgraph is
+  // immutable once built, so one cell's metrics can read it concurrently.
   std::vector<std::atomic<size_t>> cells_left(groups.size());
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     cells_left[gi].store(cells_of[gi].size(), std::memory_order_relaxed);

@@ -31,6 +31,9 @@
 // and the draw count at every prefix length. The draw stream does not
 // depend on any prune rate, so the first T entries of the order are the
 // set a race stopped at target T keeps, whichever rate asked first. The
+// lazy race saves work only when the smallest rate asked for is well
+// above 0: a rate near 0 extends it almost to exhaustion, and it does so
+// under the lock, while the group's other cells wait for the prefix. The
 // race stops at 400 |E| + 10^6 draws; edges never hit by then are
 // appended by descending p. The weighted variant assigns Horvitz-Thompson
 // weights w_e / pi_e with pi_e = 1 - (1 - p_e)^s, the probability of edge
